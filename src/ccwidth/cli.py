@@ -33,6 +33,7 @@ from .decompose import (
 from .errors import (
     CCWidthError,
     IndexOutOfRangeError,
+    InvalidArgumentError,
     InvalidCoverError,
     InvalidQueryError,
     LimitExceededError,
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .graphs import complement, components, parse_graph, serialize_graph
 from .incomparability import approximate_ccw, greedy_layered_cover
-from .limits import SearchLimits
+from .limits import CCW_LIMITS, ORIENTATION_LIMITS, SearchLimits
 from .oracles import (
     clique_cover_width_exact,
     find_transitive_orientation,
@@ -75,9 +76,9 @@ def _load_graph(path: str, fmt: str):
 
 def _limits(args, default: SearchLimits) -> SearchLimits:
     return SearchLimits(
-        max_n=args.limits_n if args.limits_n else default.max_n,
+        max_n=default.max_n if args.limits_n is None else args.limits_n,
         node_budget=default.node_budget,
-        time_budget_ms=args.limits_time if args.limits_time else default.time_budget_ms,
+        time_budget_ms=default.time_budget_ms if args.limits_time is None else args.limits_time,
     )
 
 
@@ -110,20 +111,15 @@ def cmd_ccw(args, report):
     g, digest = _load_graph(args.input, args.format)
     report["input_digest"] = digest
     if args.exact:
-        limits = _limits(args, SearchLimits(max_n=10))
+        limits = _limits(args, CCW_LIMITS)
         width, cover = clique_cover_width_exact(g, limits)
         path = _write_witness(args, "ccw_witness_cover.json", cover_to_json(cover))
         report["results"] = {"ccw": width}
         report["witnesses"] = {"cover": path}
     else:
-        if args.orientation:
-            ghat = orientation_from_json(_read_input(args.orientation))
-        else:
-            limits = _limits(args, SearchLimits(max_n=16))
-            ghat = find_transitive_orientation(complement(g), limits)
-            if ghat is None:
-                raise NotIncomparabilityError("complement admits no transitive orientation")
-        res = approximate_ccw(g, ghat, check=not args.assume_transitive)
+        ghat = orientation_from_json(_read_input(args.orientation)) if args.orientation else None
+        limits = _limits(args, ORIENTATION_LIMITS)
+        res = approximate_ccw(g, ghat, limits, check=not args.assume_transitive)
         cover_path = _write_witness(args, "greedy_cover.json", cover_to_json(res.witness_cover))
         star_path = _write_witness(
             args,
@@ -139,7 +135,7 @@ def cmd_ccw(args, report):
 
 
 def _auto_cover(g, args):
-    limits = _limits(args, SearchLimits(max_n=16))
+    limits = _limits(args, ORIENTATION_LIMITS)
     if g.n <= limits.max_n:
         ghat = find_transitive_orientation(complement(g), limits)
         if ghat is not None:
@@ -350,32 +346,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# first matching row wins: malformed or out-of-range input is a parse error,
+# and any other package error means well-formed input failed a check
+EXIT_CODES = (
+    (
+        (ParseError, SelfLoopError, IndexOutOfRangeError, InvalidQueryError, InvalidArgumentError, OSError),
+        EXIT_PARSE,
+    ),
+    (LimitExceededError, EXIT_LIMIT),
+    (NotIncomparabilityError, EXIT_RECOGNIZE),
+    (CCWidthError, EXIT_VERIFY),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     report: dict = {"command": [args.command] + (argv or sys.argv[1:]), "results": {}}
     try:
         code = args.func(args, report)
-    except (ParseError, SelfLoopError, IndexOutOfRangeError, InvalidQueryError) as exc:
+    except (CCWidthError, OSError) as exc:
         report["error"] = str(exc)
-        _emit(report, started)
-        return EXIT_PARSE
-    except LimitExceededError as exc:
-        report["error"] = str(exc)
-        _emit(report, started)
-        return EXIT_LIMIT
-    except (InvalidCoverError,) as exc:
-        report["error"] = str(exc)
-        _emit(report, started)
-        return EXIT_VERIFY
-    except NotIncomparabilityError as exc:
-        report["error"] = str(exc)
-        _emit(report, started)
-        return EXIT_RECOGNIZE
-    except CCWidthError as exc:
-        report["error"] = str(exc)
-        _emit(report, started)
-        return EXIT_VERIFY
+        code = next(exit_code for types, exit_code in EXIT_CODES if isinstance(exc, types))
     _emit(report, started)
     return code
 

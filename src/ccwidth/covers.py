@@ -11,12 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import (
-    InvalidCoverError,
-    NotAPermutationError,
-    ParseError,
-)
-from .graphs import Graph, bits, build_graph, mask_of
+from .errors import InvalidCoverError, NotAPermutationError
+from .graphs import Graph, bits, build_graph, is_lists, load_json, mask_of
 from .limits import BANDWIDTH_LIMITS, Budget, SearchLimits
 
 
@@ -179,10 +175,4 @@ def cover_to_json(cover: OrderedCliqueCover) -> str:
 
 
 def cover_from_json(text: str) -> OrderedCliqueCover:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(obj, dict) or "parts" not in obj:
-        raise ParseError("cover JSON must be an object with 'parts'")
-    return make_cover(obj["parts"])
+    return make_cover(load_json(text, "cover", parts=is_lists)["parts"])

@@ -13,17 +13,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .covers import (
-    OrderedCliqueCover,
-    cover_from_json,
-    cover_to_json,
-    cover_width,
-    make_cover,
-    validate_cover,
+from .covers import OrderedCliqueCover, cover_width, make_cover, validate_cover
+from .errors import InvalidArgumentError, InvalidCoverError
+from .graphs import (
+    Graph,
+    build_graph,
+    complement,
+    is_count,
+    is_lists,
+    is_pairs,
+    load_json,
+    mask_of,
 )
-from .errors import InvalidArgumentError, InvalidCoverError, ParseError
-from .graphs import Graph, build_graph, complement
-from .oracles import Orientation, orientation_from_json, orientation_to_json, verify_transitive
+from .oracles import Orientation, verify_transitive
 
 CO_BIPARTITE = "co_bipartite"
 TERMINAL = "terminal"
@@ -58,71 +60,43 @@ def block_cover(cover: OrderedCliqueCover, w: int) -> OrderedCliqueCover:
     return OrderedCliqueCover(tuple(blocks))
 
 
-def _complete_minus(n: int, excluded) -> Graph:
-    full = (1 << n) - 1
-    adj = [full & ~(1 << v) for v in range(n)]
-    for u, v in excluded:
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-    return Graph(n, tuple(adj))
-
-
 def decompose(g: Graph, cover: OrderedCliqueCover) -> Decomposition:
     report = validate_cover(g, cover)
     if not report.valid:
         raise InvalidCoverError(f"invalid cover: {report}")
-    w = cover_width(g, cover, checked=False)
+    # width 0 (every component a clique) gives one terminal factor: g itself
+    w = max(cover_width(g, cover, checked=False), 1)
     part_of = cover.part_of()
-
-    if w == 0:
-        # every component is a clique: the graph is its own single factor,
-        # with the complement (all cross-part pairs) oriented by part index
-        arcs = []
-        for x, y in complement(g).edges():
-            if part_of[x] <= part_of[y]:
-                arcs.append((x, y))
-            else:
-                arcs.append((y, x))
-        factor = Factor(
-            graph=g,
-            kind=TERMINAL,
-            orientation=Orientation(g.n, frozenset(arcs)),
-            blocks=cover,
-        )
-        return Decomposition(cover, (factor,))
-
-    by_distance: dict[int, list[tuple[int, int]]] = {}
-    for x, y in complement(g).edges():
-        dist = abs(part_of[x] - part_of[y])
-        if dist >= 1:
-            by_distance.setdefault(min(dist, w), []).append((x, y))
-        # dist == 0 cannot occur: parts are cliques, so same-part pairs are edges
+    comp = complement(g)
+    full = g.full_mask()
+    # part masks, padded so part_of[v] + w indexes past the last part
+    parts = [mask_of(p) for p in cover.parts] + [0] * (w + 1)
+    at_or_above = parts[:]  # at_or_above[k] = vertices in parts >= k
+    for k in range(len(cover.parts) - 1, -1, -1):
+        at_or_above[k] |= at_or_above[k + 1]
 
     factors = []
     for i in range(1, w):
-        excluded = by_distance.get(i, [])
+        # factor i drops the non-edges at part distance exactly i
+        adj = []
+        for v in range(g.n):
+            p = part_of[v]
+            ring = parts[p + i] | (parts[p - i] if p >= i else 0)
+            adj.append(full & ~(1 << v) & ~(comp.adj[v] & ring))
         side_even = tuple(v for v in range(g.n) if (part_of[v] // i) % 2 == 0)
         side_odd = tuple(v for v in range(g.n) if (part_of[v] // i) % 2 == 1)
         factors.append(
-            Factor(
-                graph=_complete_minus(g.n, excluded),
-                kind=CO_BIPARTITE,
-                bipartition=(side_even, side_odd),
-            )
+            Factor(graph=Graph(g.n, tuple(adj)), kind=CO_BIPARTITE, bipartition=(side_even, side_odd))
         )
 
-    terminal_excluded = by_distance.get(w, [])
-    arcs = []
-    for x, y in terminal_excluded:
-        if part_of[x] <= part_of[y]:
-            arcs.append((x, y))
-        else:
-            arcs.append((y, x))
+    # the terminal factor drops the non-edges at part distance >= w, oriented
+    # from the lower part index to the higher
+    o = Orientation(g.n, tuple(comp.adj[v] & at_or_above[part_of[v] + w] for v in range(g.n)))
     factors.append(
         Factor(
-            graph=_complete_minus(g.n, terminal_excluded),
+            graph=complement(o.underlying()),
             kind=TERMINAL,
-            orientation=Orientation(g.n, frozenset(arcs)),
+            orientation=o,
             blocks=block_cover(cover, w),
         )
     )
@@ -227,7 +201,7 @@ def verify_decomposition(g: Graph, d: Decomposition) -> DecompositionReport:
             ok, detail = False, "terminal factor lacks an orientation"
         elif not verify_transitive(f.orientation):
             ok, detail = False, "terminal orientation is not transitive"
-        elif f.orientation.underlying_edges() != set(complement(f.graph).edges()):
+        elif f.orientation.underlying() != complement(f.graph):
             ok, detail = False, "terminal orientation does not cover exactly the complement edges"
     checks.append(Check("d_terminal_orientation", ok, detail))
 
@@ -262,7 +236,7 @@ def decomposition_to_json(d: Decomposition) -> str:
                 "kind": f.kind,
                 "bipartition": [list(s) for s in f.bipartition] if f.bipartition else None,
                 "orientation": (
-                    {"n": f.orientation.n, "arcs": [list(a) for a in sorted(f.orientation.arcs)]}
+                    {"n": f.orientation.n, "arcs": [list(a) for a in f.orientation.arcs]}
                     if f.orientation
                     else None
                 ),
@@ -275,24 +249,23 @@ def decomposition_to_json(d: Decomposition) -> str:
     )
 
 
+def _lists_or_none(x) -> bool:
+    return x is None or is_lists(x)
+
+
 def decomposition_from_json(text: str) -> Decomposition:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    try:
-        factors = []
-        for fo in obj["factors"]:
-            graph = build_graph(fo["graph"]["n"], [tuple(e) for e in fo["graph"]["edges"]])
-            bip = tuple(tuple(s) for s in fo["bipartition"]) if fo.get("bipartition") else None
-            ori = None
-            if fo.get("orientation"):
-                ori = Orientation(
-                    fo["orientation"]["n"],
-                    frozenset((a[0], a[1]) for a in fo["orientation"]["arcs"]),
-                )
-            blocks = make_cover(fo["blocks"]) if fo.get("blocks") else None
-            factors.append(Factor(graph, fo["kind"], bip, ori, blocks))
-        return Decomposition(make_cover(obj["cover"]), tuple(factors))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ParseError(f"malformed decomposition JSON: {exc!r}") from exc
+    obj = load_json(text, "decomposition", cover=is_lists, factors=lambda x: type(x) is list)
+    factors = []
+    for fo in obj["factors"]:
+        fo = load_json(
+            fo, "factor", kind=lambda x: type(x) is str, bipartition=_lists_or_none, blocks=_lists_or_none
+        )
+        go = load_json(fo.get("graph"), "factor graph", n=is_count, edges=is_pairs)
+        ori = None
+        if fo.get("orientation"):
+            oo = load_json(fo["orientation"], "factor orientation", n=is_count, arcs=is_pairs)
+            ori = Orientation.from_arcs(oo["n"], oo["arcs"])
+        bip = tuple(tuple(s) for s in fo["bipartition"]) if fo.get("bipartition") else None
+        blocks = make_cover(fo["blocks"]) if fo.get("blocks") else None
+        factors.append(Factor(build_graph(go["n"], go["edges"]), fo["kind"], bip, ori, blocks))
+    return Decomposition(make_cover(obj["cover"]), tuple(factors))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import IndexOutOfRangeError, ParseError, SelfLoopError
@@ -125,31 +126,51 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # serialization
 
+# shape checks for load_json, written as C-level passes because edge and arc
+# lists can hold millions of entries; JSON decodes to exact int/list/dict
+# types, and bool (an int subclass) is rejected as a count
+
+def is_count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def is_lists(x) -> bool:
+    """A list of lists of counts."""
+    if type(x) is not list or not set(map(type, x)) <= {list}:
+        return False
+    flat = list(chain.from_iterable(x))
+    return set(map(type, flat)) <= {int} and min(flat, default=0) >= 0
+
+
+def is_pairs(x) -> bool:
+    return is_lists(x) and set(map(len, x)) <= {2}
+
+
+def load_json(value, what: str, /, **shapes) -> dict:
+    """The JSON object `value` (text, or an already decoded value) whose
+    fields each pass the named shape check; a missing field reads as None.
+    Raises ParseError for bad JSON, a non-object, or a field that fails.
+    """
+    if isinstance(value, str):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} JSON must be an object")
+    for key, check in shapes.items():
+        if not check(value.get(key)):
+            raise ParseError(f"{what} JSON has a missing or malformed {key!r}")
+    return value
+
+
 def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
     if fmt == "json":
-        return _parse_json(text)
+        obj = load_json(text, "graph", n=is_count, edges=is_pairs)
+        return build_graph(obj["n"], obj["edges"])
     if fmt == "edge-list":
         return _parse_edge_list(text)
     raise ParseError(f"unknown graph format {fmt!r}")
-
-
-def _parse_json(text: str) -> Graph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise ParseError("JSON graph must be an object with 'n' and 'edges'")
-    n = obj["n"]
-    edges = obj["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
-        raise ParseError("'n' must be an int and 'edges' a list")
-    pairs = []
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
-            raise ParseError(f"bad edge entry {e!r}")
-        pairs.append((e[0], e[1]))
-    return build_graph(n, pairs)
 
 
 def _parse_edge_list(text: str) -> Graph:

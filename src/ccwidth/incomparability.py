@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 from .covers import OrderedCliqueCover, cover_width
 from .errors import (
@@ -20,7 +23,7 @@ from .errors import (
     NotIncomparabilityError,
     NotTransitiveError,
 )
-from .graphs import Graph, build_graph, complement
+from .graphs import Graph, bits, complement, mask_of
 from .limits import ORIENTATION_LIMITS, SearchLimits
 from .oracles import (
     Orientation,
@@ -48,39 +51,33 @@ class ApproxResult:
 def greedy_layered_cover(orientation: Orientation, *, check: bool = True) -> LayeredCover:
     """Layer vertices of the oriented complement by longest path ending at
     each vertex (sources are layer 0); each layer is an antichain, hence a
-    clique in the target graph.  Linear in |V| + |arcs| when check=False.
+    clique in the target graph.
+
+    Each round takes the sources among the unplaced vertices as the next
+    layer.  A vertex is OR-ed into the round's union of successor masks
+    once per round it stays unplaced, which is at most 1 + its number of
+    predecessors on a transitive orientation, so the mask work is
+    O(|V| + |arcs|); the flags list lets that union be a C-level pass.
     """
     if check and not verify_transitive(orientation):
         raise NotTransitiveError("orientation is not transitive")
+    succ = orientation.succ
     n = orientation.n
-    out: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for u, v in orientation.arcs:
-        out[u].append(v)
-        indeg[v] += 1
     levels = [0] * n
-    queue = [v for v in range(n) if indeg[v] == 0]
-    processed = 0
-    while queue:
-        nxt = []
-        for u in queue:
-            processed += 1
-            lu = levels[u]
-            for v in out[u]:
-                if levels[v] < lu + 1:
-                    levels[v] = lu + 1
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    nxt.append(v)
-        queue = nxt
-    if processed != n:
-        raise CyclicOrientationError("orientation contains a directed cycle")
-    depth = max(levels, default=-1) + 1
-    layers: list[list[int]] = [[] for _ in range(depth)]
-    for v in range(n):
-        layers[levels[v]].append(v)
-    cover = OrderedCliqueCover(tuple(tuple(layer) for layer in layers))
-    return LayeredCover(cover, tuple(levels))
+    layers: list[tuple[int, ...]] = []
+    unplaced = (1 << n) - 1
+    flags = [1] * n  # flags[v] = 1 while v is unplaced
+    while unplaced:
+        layer = unplaced & ~reduce(or_, compress(succ, flags), 0)
+        if not layer:
+            raise CyclicOrientationError("orientation contains a directed cycle")
+        members = tuple(bits(layer))
+        for v in members:
+            levels[v] = len(layers)
+            flags[v] = 0
+        layers.append(members)
+        unplaced ^= layer
+    return LayeredCover(OrderedCliqueCover(tuple(layers)), tuple(levels))
 
 
 def extract_star_certificate(
@@ -92,7 +89,7 @@ def extract_star_certificate(
     layer j, ab an edge and j - i = W, then walks in-neighbors back from b
     choosing the smallest vertex in each intermediate layer.
     """
-    levels = lc.levels
+    layers = lc.cover.parts  # ascending within each layer
     width = cover_width(g, lc.cover, checked=False)
     if width == 0:
         for u in range(g.n):
@@ -100,32 +97,27 @@ def extract_star_certificate(
                 return StarCertificate(u, (v,))
         return StarCertificate(0 if g.n else -1, (), degenerate=True)
 
-    chosen = None
-    for u, v in g.edges():
-        if abs(levels[u] - levels[v]) != width:
-            continue
-        a, b = (u, v) if levels[u] < levels[v] else (v, u)
-        key = (levels[a], levels[b], a, b)
-        if chosen is None or key < chosen:
-            chosen = key
-    if chosen is None:
+    for i in range(len(layers) - width):
+        far = mask_of(layers[i + width])
+        a = next((a for a in layers[i] if g.adj[a] & far), None)
+        if a is not None:
+            break
+    else:
         raise CertificateExtractionError("no edge realizes the cover width")
-    i, j, a, b = chosen
+    reach = g.adj[a] & far
+    j, b = i + width, (reach & -reach).bit_length() - 1
 
-    inn: dict[int, list[int]] = {}
-    for u, v in orientation.arcs:
-        inn.setdefault(v, []).append(u)
-
+    succ = orientation.succ
     chain = [b]
     current = b
     for t in range(j - 1, i - 1, -1):
-        candidates = sorted(w for w in inn.get(current, ()) if levels[w] == t)
-        if not candidates:
+        tail = next((w for w in layers[t] if succ[w] >> current & 1), None)
+        if tail is None:
             raise CertificateExtractionError(
                 f"no layer-{t} in-neighbor of vertex {current}; orientation does not "
                 "match the graph's complement"
             )
-        current = candidates[0]
+        current = tail
         chain.append(current)
 
     cert = StarCertificate(a, tuple(sorted(chain)))
@@ -151,6 +143,12 @@ def approximate_ccw(
         orientation = find_transitive_orientation(complement(g), limits)
         if orientation is None:
             raise NotIncomparabilityError("complement admits no transitive orientation")
+    if orientation.n != g.n:
+        raise CertificateExtractionError(
+            f"orientation has {orientation.n} vertices, the graph has {g.n}"
+        )
+    if check and orientation.underlying() != complement(g):
+        raise CertificateExtractionError("orientation arcs are not exactly the complement's edges")
     lc = greedy_layered_cover(orientation, check=check)
     upper = cover_width(g, lc.cover, checked=check)
     cert = extract_star_certificate(g, orientation, lc)
@@ -178,25 +176,14 @@ def random_transitive_dag(n: int, density: float, seed: int) -> Orientation:
     for p in range(n - 1, -1, -1):
         u = order[p]
         r = direct[u]
-        m = direct[u]
-        while m:
-            low = m & -m
-            r |= reach[low.bit_length() - 1]
-            m ^= low
+        for v in bits(direct[u]):
+            r |= reach[v]
         reach[u] = r
-    arcs = []
-    for u in range(n):
-        m = reach[u]
-        while m:
-            low = m & -m
-            arcs.append((u, low.bit_length() - 1))
-            m ^= low
-    return Orientation(n, frozenset(arcs))
+    return Orientation(n, tuple(reach))
 
 
 def random_poset_graph(n: int, density: float, seed: int) -> tuple[Graph, Orientation]:
     """Random incomparability graph with its complement's transitive
     orientation; deterministic per seed."""
     ghat = random_transitive_dag(n, density, seed)
-    comparability = build_graph(n, sorted(ghat.underlying_edges()))
-    return complement(comparability), ghat
+    return complement(ghat.underlying()), ghat

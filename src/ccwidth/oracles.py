@@ -11,14 +11,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .covers import OrderedCliqueCover, cover_width, make_cover
-from .errors import (
-    InvalidArgumentError,
-    ParseError,
+from .covers import OrderedCliqueCover
+from .errors import IndexOutOfRangeError, InvalidArgumentError
+from .graphs import (
+    Graph,
+    bits,
+    complement,
+    components,
+    induced_subgraph,
+    is_connected,
+    is_count,
+    is_pairs,
+    load_json,
+    mask_of,
 )
-from .graphs import Graph, bits, complement, components, induced_subgraph, is_connected, mask_of
 from .limits import (
     CCW_LIMITS,
     ORIENTATION_LIMITS,
@@ -55,47 +63,62 @@ def validate_star(g: Graph, cert: StarCertificate) -> bool:
 
 @dataclass(frozen=True)
 class Orientation:
+    """Directed graph on 0..n-1 stored like Graph: succ[u] is the bitmask of
+    the heads of the arcs leaving u."""
+
     n: int
-    arcs: tuple[tuple[int, int], ...]
+    succ: tuple[int, ...]
 
-    def __post_init__(self):
-        # canonical sorted-tuple form: set semantics for equality, and
-        # cache-friendly sequential iteration for large arc sets
-        object.__setattr__(self, "arcs", tuple(sorted(set(self.arcs))))
+    @classmethod
+    def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> Orientation:
+        if n < 0:
+            raise IndexOutOfRangeError("vertex count must be non-negative")
+        succ = [0] * n
+        for u, v in arcs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise IndexOutOfRangeError(f"arc ({u},{v}) out of range for n={n}")
+            succ[u] |= 1 << v
+        return cls(n, tuple(succ))
 
-    def underlying_edges(self) -> set[tuple[int, int]]:
-        return {(min(u, v), max(u, v)) for u, v in self.arcs}
+    @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """All arcs (u, v), sorted."""
+        return tuple((u, v) for u, m in enumerate(self.succ) for v in bits(m))
+
+    def pred(self) -> list[int]:
+        """pred[v] = bitmask of the tails of the arcs entering v."""
+        pred = [0] * self.n
+        for u, m in enumerate(self.succ):
+            bit = 1 << u
+            for v in bits(m):
+                pred[v] |= bit
+        return pred
+
+    def underlying(self) -> Graph:
+        return Graph(self.n, tuple(s | p for s, p in zip(self.succ, self.pred())))
 
 
 def verify_transitive(o: Orientation) -> bool:
-    """True iff the arc set is loop-free, antisymmetric, and closed under
-    composition."""
-    arcs = set(o.arcs)
-    out: dict[int, list[int]] = {}
-    for u, v in arcs:
-        if u == v or (v, u) in arcs:
+    """True iff no vertex has a loop and succ[v] ⊆ succ[u] for every arc
+    u->v (closure under composition; with no loops, this also rules out
+    antiparallel arcs)."""
+    succ = o.succ
+    for u, m in enumerate(succ):
+        if m >> u & 1:
             return False
-        out.setdefault(u, []).append(v)
-    for u, vs in out.items():
-        for v in vs:
-            for w in out.get(v, ()):
-                if (u, w) not in arcs:
-                    return False
+        for v in bits(m):
+            if succ[v] & ~m:
+                return False
     return True
 
 
 def orientation_to_json(o: Orientation) -> str:
-    return json.dumps({"n": o.n, "arcs": [list(a) for a in sorted(o.arcs)]}, sort_keys=True)
+    return json.dumps({"n": o.n, "arcs": [list(a) for a in o.arcs]}, sort_keys=True)
 
 
 def orientation_from_json(text: str) -> Orientation:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(obj, dict) or "n" not in obj or "arcs" not in obj:
-        raise ParseError("orientation JSON must be an object with 'n' and 'arcs'")
-    return Orientation(obj["n"], frozenset((a[0], a[1]) for a in obj["arcs"]))
+    obj = load_json(text, "orientation", n=is_count, arcs=is_pairs)
+    return Orientation.from_arcs(obj["n"], obj["arcs"])
 
 
 # ---------------------------------------------------------------------------
@@ -291,48 +314,49 @@ def find_transitive_orientation(
     Backtracking over edges in canonical order with forcing: adding arc
     (u,v) forces (u,w) for every existing arc (v,w) (and symmetrically
     through in-neighbors); a forced pair that is a non-edge or conflicts with
-    an earlier arc triggers backtracking.
+    an earlier arc triggers backtracking.  The search runs on an explicit
+    stack of (succ, pred, seed) frames, so its depth is not bounded by the
+    interpreter's recursion limit; a frame's seed arc is forced into a copy
+    of its masks when the frame is popped.
     """
     limits.check_n(g.n)
-    edges = g.edges()
+    adj = g.adj
     budget = Budget(limits)
 
-    def propagate(arcs: set, out: list, inn: list, seed: tuple[int, int]) -> bool:
+    def propagate(succ: list[int], pred: list[int], seed: tuple[int, int]) -> bool:
         stack = [seed]
         while stack:
             u, v = stack.pop()
-            if (u, v) in arcs:
+            if succ[u] >> v & 1:
                 continue
-            if (v, u) in arcs or not g.has_edge(u, v):
+            if succ[v] >> u & 1 or not adj[u] >> v & 1:
                 return False
-            arcs.add((u, v))
-            out[u].append(v)
-            inn[v].append(u)
-            for w in out[v]:
-                stack.append((u, w))
-            for w in inn[u]:
-                stack.append((w, v))
+            succ[u] |= 1 << v
+            pred[v] |= 1 << u
+            stack.extend((u, w) for w in bits(succ[v]))
+            stack.extend((w, v) for w in bits(pred[u]))
         return True
 
-    def rec(arcs: set, out: list, inn: list) -> set | None:
+    frames = [([0] * g.n, [0] * g.n, None)]
+    while frames:
+        succ, pred, seed = frames.pop()
+        if seed is not None:
+            succ, pred = list(succ), list(pred)
+            if not propagate(succ, pred, seed):
+                continue
         budget.tick()
-        for u, v in edges:
-            if (u, v) not in arcs and (v, u) not in arcs:
-                for seed in ((u, v), (v, u)):
-                    arcs2 = set(arcs)
-                    out2 = [list(x) for x in out]
-                    inn2 = [list(x) for x in inn]
-                    if propagate(arcs2, out2, inn2, seed):
-                        found = rec(arcs2, out2, inn2)
-                        if found is not None:
-                            return found
-                return None
-        return arcs
-
-    found = rec(set(), [[] for _ in range(g.n)], [[] for _ in range(g.n)])
-    if found is None:
-        return None
-    return Orientation(g.n, frozenset(found))
+        for u in range(g.n):
+            # edges (u, v) with v > u that are not yet oriented either way
+            free = adj[u] >> (u + 1) << (u + 1) & ~(succ[u] | pred[u])
+            if free:
+                v = (free & -free).bit_length() - 1
+                # (u, v) is tried first, then (v, u)
+                frames.append((succ, pred, (v, u)))
+                frames.append((succ, pred, (u, v)))
+                break
+        else:
+            return Orientation(g.n, tuple(succ))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -137,3 +137,95 @@ def test_report_stable_excluding_timing(capsys, k4_file, tmp_path):
     r1.pop("timing_ms")
     r2.pop("timing_ms")
     assert r1 == r2
+
+
+def test_greedy_recognizes_a_120_vertex_poset(capsys, tmp_path):
+    # recognition forces hundreds of implication classes here; a recursive
+    # search overflowed the interpreter stack
+    from ccwidth import random_poset_graph, validate_cover
+    from ccwidth.covers import cover_from_json, cover_width
+
+    g, _ = random_poset_graph(120, 0.05, 1)
+    path = tmp_path / "poset.graph"
+    path.write_text(serialize_graph(g))
+    code, report = run(
+        capsys, ["--limits-n", "200", "--out", str(tmp_path), "ccw", str(path), "--greedy"]
+    )
+    assert code == 0
+    cover = cover_from_json((tmp_path / "greedy_cover.json").read_text())
+    assert validate_cover(g, cover).valid
+    assert cover_width(g, cover) == report["results"]["upper"]
+
+
+def ten_vertex_poset(tmp_path):
+    from ccwidth import random_poset_graph
+
+    g, _ = random_poset_graph(10, 0.3, 2)
+    path = tmp_path / "poset.graph"
+    path.write_text(serialize_graph(g))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("graph", '{"n": true, "edges": []}'),
+        ("cover", '{"parts": 5}'),
+        ("orientation", '{"n": 10, "arcs": [[0]]}'),
+        ("orientation", '{"n": 10, "arcs": [[0, 99]]}'),
+    ],
+)
+def test_malformed_input_files_exit_2(capsys, tmp_path, kind, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    graph = ten_vertex_poset(tmp_path)
+    argv = {
+        "graph": ["parse", str(bad)],
+        "cover": ["decompose", graph, "--cover", str(bad)],
+        "orientation": ["ccw", graph, "--greedy", "--orientation", str(bad)],
+    }[kind]
+    code = main(["--out", str(tmp_path)] + argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in out + err
+    assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ramsey", "--corollary", "0"],
+        ["--limits-n", "-1", "ccw", "{k4}", "--exact"],
+        ["--limits-n", "0", "ccw", "{k4}", "--exact"],
+        ["stats", "{tmp}/missing.graph"],
+    ],
+)
+def test_invalid_arguments_and_missing_files_exit_2(capsys, tmp_path, k4_file, argv):
+    argv = [a.format(k4=k4_file, tmp=tmp_path) for a in argv]
+    code, report = run(capsys, ["--out", str(tmp_path)] + argv)
+    assert code == 2 and "error" in report
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_orientation_vertex_count_must_match_the_graph(capsys, tmp_path, n):
+    graph = ten_vertex_poset(tmp_path)
+    ori = tmp_path / "o.json"
+    ori.write_text(json.dumps({"n": n, "arcs": []}))
+    argv = ["--out", str(tmp_path), "ccw", graph, "--greedy", "--orientation", str(ori)]
+    code, report = run(capsys, argv + ["--assume-transitive"])
+    assert code == 4 and "vertices" in report["error"]
+
+
+def test_orientation_arcs_must_be_the_complement_edges(capsys, tmp_path):
+    from ccwidth import Orientation, random_poset_graph
+    from ccwidth.oracles import orientation_to_json
+
+    _, o = random_poset_graph(10, 0.3, 2)
+    ori = tmp_path / "o.json"
+    # one complement edge left unoriented
+    ori.write_text(orientation_to_json(Orientation.from_arcs(10, o.arcs[1:])))
+    graph = ten_vertex_poset(tmp_path)
+    code, report = run(
+        capsys, ["--out", str(tmp_path), "ccw", graph, "--greedy", "--orientation", str(ori)]
+    )
+    assert code == 4 and "complement" in report["error"]

@@ -112,7 +112,7 @@ def test_tampered_orientation_fails():
     tampered = Decomposition(
         d.source_cover,
         d.factors[:-1]
-        + (Factor(term.graph, term.kind, None, Orientation(term.graph.n, frozenset(flipped)), term.blocks),),
+        + (Factor(term.graph, term.kind, None, Orientation.from_arcs(term.graph.n, flipped), term.blocks),),
     )
     report = verify_decomposition(p4, tampered)
     assert "d_terminal_orientation" in {c.name for c in report.failures()}

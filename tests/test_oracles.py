@@ -167,21 +167,21 @@ def test_cobipartite_star_bound():
 # transitive orientation
 
 def test_verify_transitive_cases():
-    assert verify_transitive(Orientation(3, frozenset({(0, 1), (1, 2), (0, 2)})))
-    assert not verify_transitive(Orientation(3, frozenset({(0, 1), (1, 2)})))
-    assert not verify_transitive(Orientation(2, frozenset({(0, 1), (1, 0)})))
+    assert verify_transitive(Orientation.from_arcs(3, {(0, 1), (1, 2), (0, 2)}))
+    assert not verify_transitive(Orientation.from_arcs(3, {(0, 1), (1, 2)}))
+    assert not verify_transitive(Orientation.from_arcs(2, {(0, 1), (1, 0)}))
 
 
 def test_orientation_bipartite():
     g = build_graph(5, [(0, 3), (0, 4), (1, 3), (2, 4)])
     o = find_transitive_orientation(g)
     assert o is not None and verify_transitive(o)
-    assert o.underlying_edges() == {(0, 3), (0, 4), (1, 3), (2, 4)}
+    assert o.underlying() == g
 
 
 def test_orientation_triangle():
     o = find_transitive_orientation(complete_graph(3))
-    assert o == Orientation(3, frozenset({(0, 1), (1, 2), (0, 2)}))
+    assert o == Orientation.from_arcs(3, {(0, 1), (1, 2), (0, 2)})
 
 
 def test_orientation_c5_none_vs_brute():
@@ -190,10 +190,10 @@ def test_orientation_c5_none_vs_brute():
     edges = c5.edges()
     found = False
     for code in range(1 << len(edges)):
-        arcs = frozenset(
+        arcs = (
             e if code >> k & 1 else (e[1], e[0]) for k, e in enumerate(edges)
         )
-        if verify_transitive(Orientation(5, arcs)):
+        if verify_transitive(Orientation.from_arcs(5, arcs)):
             found = True
     assert not found
 
@@ -204,7 +204,20 @@ def test_orientation_sound(g):
     o = find_transitive_orientation(g)
     if o is not None:
         assert verify_transitive(o)
-        assert o.underlying_edges() == set(g.edges())
+        assert o.underlying() == g
+
+
+@given(graphs(max_n=6))
+@settings(max_examples=200, deadline=None)
+def test_orientation_none_exactly_when_brute_force_finds_none(g):
+    edges = g.edges()
+    brute = any(
+        verify_transitive(
+            Orientation.from_arcs(g.n, (e if code >> k & 1 else e[::-1] for k, e in enumerate(edges)))
+        )
+        for code in range(1 << len(edges))
+    )
+    assert (find_transitive_orientation(g) is not None) == brute
 
 
 # ---------------------------------------------------------------------------
