@@ -152,6 +152,8 @@ def cmd_decompose(args, report):
     else:
         cover, how = _auto_cover(g, args)
     rep = validate_cover(g, cover)
+    if rep.out_of_range:
+        raise IndexOutOfRangeError(f"cover lists vertices outside 0..{g.n - 1}: {list(rep.out_of_range)}")
     if not rep.valid:
         raise InvalidCoverError(f"cover does not cover the graph: {rep}")
     width = cover_width(g, cover, checked=False)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidCoverError, NotAPermutationError
-from .graphs import Graph, bits, build_graph, is_lists, load_json, mask_of
+from .graphs import Graph, bits, is_lists, load_json, mask_of
 from .limits import BANDWIDTH_LIMITS, Budget, SearchLimits
 
 
@@ -37,25 +37,49 @@ class CoverReport:
     uncovered: tuple[int, ...]
     doubly_covered: tuple[int, ...]
     non_clique_parts: tuple[tuple[int, tuple[int, int]], ...]  # (part index, witness non-edge)
+    out_of_range: tuple[int, ...] = ()  # listed vertices >= n
 
     @property
     def valid(self) -> bool:
-        return not (self.uncovered or self.doubly_covered or self.non_clique_parts)
+        return not (self.uncovered or self.doubly_covered or self.non_clique_parts or self.out_of_range)
 
 
-def validate_cover(g: Graph, cover: OrderedCliqueCover) -> CoverReport:
-    seen = 0
-    doubly = 0
-    non_clique = []
-    for i, part in enumerate(cover.parts):
+def part_masks(g: Graph, parts) -> tuple[list[int], list[int], bool]:
+    """One pass over the parts: each part's vertex mask, each part's
+    neighbour mask (the OR of adj[v] over the part), and whether the parts
+    are disjoint cliques of g that list every vertex of g exactly once."""
+    adj, full = g.adj, g.full_mask()
+    pms, nbrs = [], []
+    seen = listed = 0
+    clique = True
+    for part in parts:
         pm = mask_of(part)
+        seen |= pm
+        listed += len(part)
+        nb = 0
+        for v in part if pm <= full else bits(pm & full):
+            a = adj[v]
+            nb |= a
+            if pm & ~a != 1 << v:
+                clique = False
+        pms.append(pm)
+        nbrs.append(nb)
+    return pms, nbrs, clique and seen == full and listed == g.n
+
+
+def _report(g: Graph, parts, pms: list[int]) -> CoverReport:
+    """The full report of an invalid cover, with a witness per bad part."""
+    seen = doubly = 0
+    for pm in pms:
         doubly |= seen & pm
         seen |= pm
-        witness = _non_adjacent_pair(g, part)
-        if witness is not None:
-            non_clique.append((i, witness))
-    uncovered = g.full_mask() & ~seen
-    return CoverReport(tuple(bits(uncovered)), tuple(bits(doubly)), tuple(non_clique))
+    non_clique = ((i, _non_adjacent_pair(g, part)) for i, part in enumerate(parts))
+    return CoverReport(
+        tuple(bits(g.full_mask() & ~seen)),
+        tuple(bits(doubly)),
+        tuple((i, pair) for i, pair in non_clique if pair is not None),
+        tuple(bits(seen >> g.n << g.n)),
+    )
 
 
 def _non_adjacent_pair(g: Graph, part) -> tuple[int, int] | None:
@@ -67,35 +91,48 @@ def _non_adjacent_pair(g: Graph, part) -> tuple[int, int] | None:
     return None
 
 
-def _require_valid(g: Graph, cover: OrderedCliqueCover) -> None:
-    report = validate_cover(g, cover)
-    if not report.valid:
-        raise InvalidCoverError(f"invalid cover: {report}")
+def validate_cover(g: Graph, cover: OrderedCliqueCover) -> CoverReport:
+    pms, _, valid = part_masks(g, cover.parts)
+    return CoverReport((), (), ()) if valid else _report(g, cover.parts, pms)
+
+
+def _checked_masks(g: Graph, cover: OrderedCliqueCover, checked: bool) -> tuple[list[int], list[int]]:
+    pms, nbrs, valid = part_masks(g, cover.parts)
+    if checked and not valid:
+        raise InvalidCoverError(f"invalid cover: {_report(g, cover.parts, pms)}")
+    return pms, nbrs
+
+
+def mask_width(pms: list[int], nbrs: list[int]) -> int:
+    """Largest j - i with nbrs[i] meeting pms[j], in O(k + width) mask
+    operations: w only grows, and part i is left once no part past i + w
+    holds a neighbour of it."""
+    above = pms[:]  # above[j] = vertices in parts >= j
+    for j in range(len(above) - 2, -1, -1):
+        above[j] |= above[j + 1]
+    w = i = 0
+    while i + w + 1 < len(above):
+        if nbrs[i] & above[i + w + 1]:
+            w += 1
+        else:
+            i += 1
+    return w
+
+
+def quotient_masks(pms: list[int], nbrs: list[int]) -> list[int]:
+    """Adjacency masks of the quotient: part i meets part j != i."""
+    return [mask_of(j for j, pm in enumerate(pms) if j != i and nb & pm) for i, nb in enumerate(nbrs)]
 
 
 def cover_width(g: Graph, cover: OrderedCliqueCover, *, checked: bool = True) -> int:
     """Maximum |j - i| over edges with endpoints in parts i and j; 0 if no
     edge crosses parts."""
-    if checked:
-        _require_valid(g, cover)
-    part_of = cover.part_of()
-    width = 0
-    for u, v in g.edges():
-        gap = abs(part_of[u] - part_of[v])
-        if gap > width:
-            width = gap
-    return width
+    return mask_width(*_checked_masks(g, cover, checked))
 
 
 def quotient_graph(g: Graph, cover: OrderedCliqueCover) -> Graph:
-    _require_valid(g, cover)
-    part_of = cover.part_of()
-    pairs = set()
-    for u, v in g.edges():
-        i, j = part_of[u], part_of[v]
-        if i != j:
-            pairs.add((min(i, j), max(i, j)))
-    return build_graph(len(cover.parts), sorted(pairs))
+    q = quotient_masks(*_checked_masks(g, cover, True))
+    return Graph(len(q), tuple(q))
 
 
 def trivial_cover(g: Graph) -> OrderedCliqueCover:
@@ -106,13 +143,7 @@ def ordering_width(g: Graph, perm) -> int:
     perm = list(perm)
     if sorted(perm) != list(range(g.n)):
         raise NotAPermutationError("ordering must be a permutation of the vertex set")
-    pos = {v: i for i, v in enumerate(perm)}
-    width = 0
-    for u, v in g.edges():
-        gap = abs(pos[u] - pos[v])
-        if gap > width:
-            width = gap
-    return width
+    return mask_width(*part_masks(g, [(v,) for v in perm])[:2])
 
 
 def bandwidth_exact(g: Graph, limits: SearchLimits = BANDWIDTH_LIMITS) -> tuple[int, tuple[int, ...]]:
@@ -171,7 +202,7 @@ def _place_with_width(g: Graph, w: int, budget: Budget) -> tuple[int, ...] | Non
 # serialization
 
 def cover_to_json(cover: OrderedCliqueCover) -> str:
-    return json.dumps({"parts": [list(p) for p in cover.parts]}, sort_keys=True)
+    return json.dumps({"parts": cover.parts}, sort_keys=True)
 
 
 def cover_from_json(text: str) -> OrderedCliqueCover:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .covers import OrderedCliqueCover, cover_width, make_cover, validate_cover
-from .errors import InvalidArgumentError, InvalidCoverError
+from .errors import InvalidArgumentError
 from .graphs import (
     Graph,
     build_graph,
@@ -61,11 +61,8 @@ def block_cover(cover: OrderedCliqueCover, w: int) -> OrderedCliqueCover:
 
 
 def decompose(g: Graph, cover: OrderedCliqueCover) -> Decomposition:
-    report = validate_cover(g, cover)
-    if not report.valid:
-        raise InvalidCoverError(f"invalid cover: {report}")
     # width 0 (every component a clique) gives one terminal factor: g itself
-    w = max(cover_width(g, cover, checked=False), 1)
+    w = max(cover_width(g, cover), 1)
     part_of = cover.part_of()
     comp = complement(g)
     full = g.full_mask()
@@ -177,15 +174,16 @@ def verify_decomposition(g: Graph, d: Decomposition) -> DecompositionReport:
         if f.bipartition is None:
             ok, detail = False, f"factor {idx} lacks a bipartition witness"
             break
-        side = {}
-        for s, part in enumerate(f.bipartition):
-            for v in part:
-                side[v] = s
-        if sorted(side) != list(range(g.n)):
+        a, b = (mask_of(s) for s in f.bipartition)
+        if a & b or a | b != f.graph.full_mask():
             ok, detail = False, f"factor {idx} bipartition is not a partition of V"
             break
-        for x, y in complement(f.graph).edges():
-            if side[x] == side[y]:
+        # each side must be a clique of the factor; report the first
+        # complement edge (x, y), x < y, inside one side
+        for x in range(f.graph.n):
+            inside = ((a if a >> x & 1 else b) & ~f.graph.adj[x]) >> (x + 1)
+            if inside:
+                y = x + (inside & -inside).bit_length()
                 ok, detail = False, f"factor {idx} complement edge ({x},{y}) stays inside one side"
                 break
         if not ok:
@@ -232,19 +230,15 @@ def decomposition_to_json(d: Decomposition) -> str:
     for f in d.factors:
         factors.append(
             {
-                "graph": {"n": f.graph.n, "edges": [list(e) for e in f.graph.edges()]},
+                "graph": {"n": f.graph.n, "edges": f.graph.edges()},
                 "kind": f.kind,
-                "bipartition": [list(s) for s in f.bipartition] if f.bipartition else None,
-                "orientation": (
-                    {"n": f.orientation.n, "arcs": [list(a) for a in f.orientation.arcs]}
-                    if f.orientation
-                    else None
-                ),
-                "blocks": [list(p) for p in f.blocks.parts] if f.blocks else None,
+                "bipartition": f.bipartition or None,
+                "orientation": {"n": f.orientation.n, "arcs": f.orientation.arcs} if f.orientation else None,
+                "blocks": f.blocks.parts if f.blocks else None,
             }
         )
     return json.dumps(
-        {"cover": [list(p) for p in d.source_cover.parts], "factors": factors},
+        {"cover": d.source_cover.parts, "factors": factors},
         sort_keys=True,
     )
 

@@ -217,7 +217,7 @@ def serialize_graph(g: Graph, fmt: str = "edge-list", cover=None) -> str:
         lines += [f"e {u} {v}" for u, v in edges]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps({"n": g.n, "edges": [list(e) for e in edges]}, sort_keys=True)
+        return json.dumps({"n": g.n, "edges": edges}, sort_keys=True)
     if fmt == "dot":
         lines = ["graph {"]
         if cover is not None:

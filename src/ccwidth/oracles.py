@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator
 
-from .covers import OrderedCliqueCover
+from .covers import OrderedCliqueCover, part_masks, quotient_masks
 from .errors import IndexOutOfRangeError, InvalidArgumentError
 from .graphs import (
     Graph,
@@ -113,7 +112,7 @@ def verify_transitive(o: Orientation) -> bool:
 
 
 def orientation_to_json(o: Orientation) -> str:
-    return json.dumps({"n": o.n, "arcs": [list(a) for a in o.arcs]}, sort_keys=True)
+    return json.dumps({"n": o.n, "arcs": o.arcs}, sort_keys=True)
 
 
 def orientation_from_json(text: str) -> Orientation:
@@ -128,15 +127,11 @@ def largest_induced_star(g: Graph) -> tuple[int, StarCertificate]:
     """Leaf count of a largest induced star, with a witness.
 
     Equals the maximum over vertices v of the size of a maximum independent
-    set inside the open neighborhood of v.  Defined as 1 when n <= 2.
+    set inside the open neighborhood of v.  Defined as 1, with a degenerate
+    certificate, when g has no edges.
     """
-    if g.n <= 2:
-        for u in range(g.n):
-            for v in g.neighbors(u):
-                return 1, StarCertificate(u, (v,))
-        return 1, StarCertificate(0 if g.n else -1, (), degenerate=True)
     best = 0
-    cert = StarCertificate(0, (), degenerate=True)
+    cert = StarCertificate(0 if g.n else -1, (), degenerate=True)
     for v in range(g.n):
         if g.adj[v].bit_count() <= best:
             continue
@@ -144,7 +139,7 @@ def largest_induced_star(g: Graph) -> tuple[int, StarCertificate]:
         if size > best:
             best = size
             cert = StarCertificate(v, tuple(bits(members)))
-    return best, cert
+    return max(best, 1), cert
 
 
 def _max_independent_set(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
@@ -372,33 +367,27 @@ def unit_intersection_dimension(g: Graph, limits: SearchLimits = UDIM_LIMITS) ->
     g: missing within-part pairs become added edges of H).  The maximal set
     of g-non-edges such an H can exclude is exactly the pairs split across
     different parts of L, so minimizing d is an exact set cover of the
-    non-edges by the "split by L" sets over all admissible L.
+    non-edges by the "split by L" sets over all admissible L.  That set
+    depends only on the blocks of L, so each set partition is tested once:
+    g is connected, so the blocks' quotient graph is connected, and an
+    order of width <= 1 exists iff that quotient is a path (k - 1 edges,
+    no block meeting more than two others).
     """
     limits.check_n(g.n)
     if not is_connected(g):
         raise InvalidArgumentError("unit intersection dimension requires a connected graph")
-    n = g.n
-    edges = g.edges()
     nonedges = complement(g).edges()
     if not nonedges:
         return 1  # a clique is itself a width-0 factor
-    ne_index = {pair: k for k, pair in enumerate(nonedges)}
     full = (1 << len(nonedges)) - 1
 
     coverage: set[int] = set()
-    for blocks in _set_partitions(n):
-        for order in permutations(range(len(blocks))):
-            part_of = [0] * n
-            for pos, b in enumerate(order):
-                for v in blocks[b]:
-                    part_of[v] = pos
-            if any(abs(part_of[u] - part_of[v]) > 1 for u, v in edges):
-                continue
-            mask = 0
-            for (u, v), k in ne_index.items():
-                if part_of[u] != part_of[v]:
-                    mask |= 1 << k
-            coverage.add(mask)
+    for blocks in _set_partitions(g.n):
+        degrees = [q.bit_count() for q in quotient_masks(*part_masks(g, blocks)[:2])]
+        if max(degrees) > 2 or sum(degrees) != 2 * (len(blocks) - 1):
+            continue
+        block_of = {v: b for b, block in enumerate(blocks) for v in block}
+        coverage.add(sum(1 << k for k, (u, v) in enumerate(nonedges) if block_of[u] != block_of[v]))
 
     masks = _maximal_masks(coverage)
     if full in masks:

@@ -94,6 +94,13 @@ def test_decompose_and_verify(capsys, tmp_path):
     code, report = run(capsys, ["verify", str(path), "--decomposition", str(tampered)])
     assert code == 4 and not report["results"]["all_passed"]
 
+    # tamper: give the first factor one vertex more than the graph
+    stored = json.loads((tmp_path / "decomposition.json").read_text())
+    stored["factors"][0]["graph"]["n"] = 6
+    tampered.write_text(json.dumps(stored))
+    code, report = run(capsys, ["verify", str(path), "--decomposition", str(tampered)])
+    assert code == 4 and not report["results"]["all_passed"]
+
 
 def test_star_on_grid(capsys, tmp_path):
     path = tmp_path / "grid.graph"
@@ -229,3 +236,17 @@ def test_orientation_arcs_must_be_the_complement_edges(capsys, tmp_path):
         capsys, ["--out", str(tmp_path), "ccw", graph, "--greedy", "--orientation", str(ori)]
     )
     assert code == 4 and "complement" in report["error"]
+
+
+def test_decompose_cover_with_a_vertex_outside_the_graph_exits_2(capsys, tmp_path):
+    graph = tmp_path / "p3.graph"
+    graph.write_text("p 3 2\ne 0 1\ne 1 2\n")
+    cover = tmp_path / "cover.json"
+    cover.write_text('{"parts": [[0], [1], [2], [7]]}')
+    argv = ["--out", str(tmp_path), "decompose", str(graph), "--cover", str(cover), "--verify"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in out + err
+    assert "7" in json.loads(out)["error"]
+    assert not (tmp_path / "decomposition.json").exists()

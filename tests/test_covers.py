@@ -2,6 +2,7 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccwidth import (
     bandwidth_exact,
@@ -21,6 +22,7 @@ from ccwidth.generators import (
     remark_three_cliques_graph,
     star_graph,
 )
+from ccwidth.graphs import bits, mask_of
 from ccwidth.limits import SearchLimits
 
 from conftest import graphs
@@ -41,6 +43,15 @@ def test_validate_cover_non_clique():
 def test_validate_cover_uncovered():
     report = validate_cover(P3, make_cover([(0, 1)]))
     assert report.uncovered == (2,)
+
+
+def test_validate_cover_out_of_range_singleton():
+    report = validate_cover(P3, make_cover([(0,), (1,), (2,), (7,)]))
+    assert not report.valid
+    assert report.out_of_range == (7,)
+    assert (report.uncovered, report.doubly_covered, report.non_clique_parts) == ((), (), ())
+    with pytest.raises(InvalidCoverError):
+        cover_width(P3, make_cover([(0,), (1,), (2,), (7,)]))
 
 
 def test_cover_width_remark_graph():
@@ -122,3 +133,93 @@ def test_cover_width_matches_quotient_identity_ordering(g):
     q = quotient_graph(g, cover)
     if q.n:
         assert cover_width(g, cover) == ordering_width(q, range(q.n))
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the edge-list implementations that the part-mask
+# kernel replaced
+
+
+def ref_validate_cover(g, cover):
+    seen = 0
+    doubly = 0
+    non_clique = []
+    for i, part in enumerate(cover.parts):
+        pm = mask_of(part)
+        doubly |= seen & pm
+        seen |= pm
+        vs = sorted(part)
+        witness = next(
+            (
+                (u, v)
+                for a, u in enumerate(vs)
+                for v in vs[a + 1:]
+                if v >= g.n or u >= g.n or not g.has_edge(u, v)
+            ),
+            None,
+        )
+        if witness is not None:
+            non_clique.append((i, witness))
+    uncovered = g.full_mask() & ~seen
+    return tuple(bits(uncovered)), tuple(bits(doubly)), tuple(non_clique)
+
+
+def ref_cover_width(g, cover):
+    part_of = cover.part_of()
+    return max((abs(part_of[u] - part_of[v]) for u, v in g.edges()), default=0)
+
+
+def ref_ordering_width(g, perm):
+    pos = {v: i for i, v in enumerate(perm)}
+    return max((abs(pos[u] - pos[v]) for u, v in g.edges()), default=0)
+
+
+def ref_quotient_graph(g, cover):
+    part_of = cover.part_of()
+    pairs = set()
+    for u, v in g.edges():
+        i, j = part_of[u], part_of[v]
+        if i != j:
+            pairs.add((min(i, j), max(i, j)))
+    return build_graph(len(cover.parts), sorted(pairs))
+
+
+@st.composite
+def graphs_with_parts(draw):
+    """A graph with n <= 8 and an ordered list of parts that may repeat a
+    vertex (within a part or across parts), miss vertices, list vertices
+    >= n, or hold an empty part; about half are proper partitions of V."""
+    g = draw(graphs(max_n=8))
+    vertices = list(range(g.n))
+    if draw(st.booleans()):
+        order = draw(st.permutations(vertices))
+        cuts = sorted(draw(st.sets(st.integers(1, max(g.n - 1, 1)), max_size=g.n)))
+        bounds = [0] + [c for c in cuts if c < g.n] + [g.n]
+        parts = [order[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+    else:
+        vertex = st.integers(0, g.n + 2)
+        parts = draw(st.lists(st.lists(vertex, max_size=4), max_size=g.n + 2))
+    return g, make_cover(parts)
+
+
+@given(graphs_with_parts())
+@settings(max_examples=400, deadline=None)
+def test_cover_kernel_matches_edge_list_reference(case):
+    g, cover = case
+    report = validate_cover(g, cover)
+    ref = ref_validate_cover(g, cover)
+    assert (report.uncovered, report.doubly_covered, report.non_clique_parts) == ref
+    out = tuple(v for part in cover.parts for v in part if v >= g.n)
+    assert report.out_of_range == tuple(sorted(set(out)))
+    assert report.valid == (not any(ref) and not out)
+    if report.valid:
+        assert cover_width(g, cover) == ref_cover_width(g, cover)
+        assert quotient_graph(g, cover) == ref_quotient_graph(g, cover)
+        perm = [v for part in cover.parts for v in part]
+        assert ordering_width(g, perm) == ref_ordering_width(g, perm)
+    else:
+        with pytest.raises(InvalidCoverError):
+            cover_width(g, cover)
+        with pytest.raises(InvalidCoverError):
+            quotient_graph(g, cover)
+

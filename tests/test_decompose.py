@@ -103,6 +103,19 @@ def test_tampered_edge_fails_intersection():
     assert "b_intersection" in failed or "a_supergraphs" in failed
 
 
+def test_overlapping_bipartition_sides_fail():
+    c5 = cycle_graph(5)
+    d = decompose(c5, trivial_cover(c5))
+    f0 = d.factors[0]
+    assert f0.bipartition == ((0, 2, 4), (1, 3))
+    tampered = Decomposition(
+        d.source_cover,
+        (Factor(f0.graph, f0.kind, ((0, 2, 4, 1), (1, 3))),) + d.factors[1:],
+    )
+    failed = {c.name for c in verify_decomposition(c5, tampered).failures()}
+    assert failed == {"c_cobipartite_witnesses"}
+
+
 def test_tampered_orientation_fails():
     p4 = path_graph(4)
     d = decompose(p4, trivial_cover(p4))

@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given, settings
 
@@ -29,6 +31,7 @@ from ccwidth.generators import (
 )
 from ccwidth.graphs import is_connected
 from ccwidth.limits import SearchLimits
+from ccwidth.oracles import _maximal_masks, _min_set_cover, _set_partitions
 
 from conftest import graphs
 
@@ -60,6 +63,9 @@ def test_star_tiny_graphs():
     assert size == 1 and not cert.degenerate
     size, cert = largest_induced_star(build_graph(1, []))
     assert size == 1 and cert.degenerate
+    for n in (3, 5):
+        size, cert = largest_induced_star(build_graph(n, []))
+        assert size == 1 and cert.degenerate
 
 
 def test_star_certificate_validates():
@@ -247,3 +253,49 @@ def test_udim_below_ccw():
             continue
         assert is_connected(g)
         assert unit_intersection_dimension(g) <= clique_cover_width_exact(g)[0]
+
+
+def ref_unit_intersection_dimension(g):
+    """The admissibility loop the quotient-path test replaced: every order
+    of every set partition, kept when no edge spans a gap >= 2."""
+    edges = g.edges()
+    nonedges = complement(g).edges()
+    if not nonedges:
+        return 1
+    coverage = set()
+    for blocks in _set_partitions(g.n):
+        for order in permutations(range(len(blocks))):
+            part_of = [0] * g.n
+            for pos, b in enumerate(order):
+                for v in blocks[b]:
+                    part_of[v] = pos
+            if any(abs(part_of[u] - part_of[v]) > 1 for u, v in edges):
+                continue
+            coverage.add(sum(1 << k for k, (u, v) in enumerate(nonedges) if part_of[u] != part_of[v]))
+    masks = _maximal_masks(coverage)
+    full = (1 << len(nonedges)) - 1
+    return 1 if full in masks else _min_set_cover(masks, full)
+
+
+def connected_labelled_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    for chosen in range(1 << len(pairs)):
+        g = build_graph(n, [p for k, p in enumerate(pairs) if chosen >> k & 1])
+        if is_connected(g):
+            yield g
+
+
+def test_udim_matches_permutation_reference_up_to_five_vertices():
+    count = 0
+    for n in range(1, 6):
+        for g in connected_labelled_graphs(n):
+            assert unit_intersection_dimension(g) == ref_unit_intersection_dimension(g)
+            count += 1
+    assert count == 1 + 1 + 4 + 38 + 728
+
+
+@given(graphs(min_n=6, max_n=7))
+@settings(max_examples=25, deadline=None)
+def test_udim_matches_permutation_reference_at_six_and_seven(g):
+    if is_connected(g):
+        assert unit_intersection_dimension(g) == ref_unit_intersection_dimension(g)
