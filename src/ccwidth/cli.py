@@ -43,7 +43,7 @@ from .errors import (
 )
 from .graphs import complement, components, parse_graph, serialize_graph
 from .incomparability import approximate_ccw, greedy_layered_cover
-from .limits import CCW_LIMITS, ORIENTATION_LIMITS, SearchLimits
+from .limits import CCW_LIMITS, SearchLimits
 from .oracles import (
     clique_cover_width_exact,
     find_transitive_orientation,
@@ -74,11 +74,11 @@ def _load_graph(path: str, fmt: str):
     return parse_graph(text, fmt), digest
 
 
-def _limits(args, default: SearchLimits) -> SearchLimits:
+def _limits(args) -> SearchLimits:
     return SearchLimits(
-        max_n=default.max_n if args.limits_n is None else args.limits_n,
-        node_budget=default.node_budget,
-        time_budget_ms=default.time_budget_ms if args.limits_time is None else args.limits_time,
+        max_n=CCW_LIMITS.max_n if args.limits_n is None else args.limits_n,
+        node_budget=CCW_LIMITS.node_budget,
+        time_budget_ms=CCW_LIMITS.time_budget_ms if args.limits_time is None else args.limits_time,
     )
 
 
@@ -111,15 +111,13 @@ def cmd_ccw(args, report):
     g, digest = _load_graph(args.input, args.format)
     report["input_digest"] = digest
     if args.exact:
-        limits = _limits(args, CCW_LIMITS)
-        width, cover = clique_cover_width_exact(g, limits)
+        width, cover = clique_cover_width_exact(g, args.limits)
         path = _write_witness(args, "ccw_witness_cover.json", cover_to_json(cover))
         report["results"] = {"ccw": width}
         report["witnesses"] = {"cover": path}
     else:
         ghat = orientation_from_json(_read_input(args.orientation)) if args.orientation else None
-        limits = _limits(args, ORIENTATION_LIMITS)
-        res = approximate_ccw(g, ghat, limits, check=not args.assume_transitive)
+        res = approximate_ccw(g, ghat, check=not args.assume_transitive)
         cover_path = _write_witness(args, "greedy_cover.json", cover_to_json(res.witness_cover))
         star_path = _write_witness(
             args,
@@ -134,13 +132,11 @@ def cmd_ccw(args, report):
     return EXIT_OK
 
 
-def _auto_cover(g, args):
-    limits = _limits(args, ORIENTATION_LIMITS)
-    if g.n <= limits.max_n:
-        ghat = find_transitive_orientation(complement(g), limits)
-        if ghat is not None:
-            return greedy_layered_cover(ghat).cover, "greedy"
-    return trivial_cover(g), "trivial"
+def _auto_cover(g):
+    ghat = find_transitive_orientation(complement(g))
+    if ghat is None:
+        return trivial_cover(g), "trivial"
+    return greedy_layered_cover(ghat).cover, "greedy"
 
 
 def cmd_decompose(args, report):
@@ -150,7 +146,7 @@ def cmd_decompose(args, report):
         cover = cover_from_json(_read_input(args.cover))
         how = "file"
     else:
-        cover, how = _auto_cover(g, args)
+        cover, how = _auto_cover(g)
     rep = validate_cover(g, cover)
     if rep.out_of_range:
         raise IndexOutOfRangeError(f"cover lists vertices outside 0..{g.n - 1}: {list(rep.out_of_range)}")
@@ -366,6 +362,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     report: dict = {"command": [args.command] + (argv or sys.argv[1:]), "results": {}}
     try:
+        args.limits = _limits(args)
         code = args.func(args, report)
     except (CCWidthError, OSError) as exc:
         report["error"] = str(exc)

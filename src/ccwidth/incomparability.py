@@ -24,7 +24,6 @@ from .errors import (
     NotTransitiveError,
 )
 from .graphs import Graph, bits, complement, mask_of
-from .limits import ORIENTATION_LIMITS, SearchLimits
 from .oracles import (
     Orientation,
     StarCertificate,
@@ -129,7 +128,6 @@ def extract_star_certificate(
 def approximate_ccw(
     g: Graph,
     orientation: Orientation | None = None,
-    limits: SearchLimits = ORIENTATION_LIMITS,
     *,
     check: bool = True,
 ) -> ApproxResult:
@@ -140,7 +138,7 @@ def approximate_ccw(
     upper <= 2 * CCW(g) + 1.
     """
     if orientation is None:
-        orientation = find_transitive_orientation(complement(g), limits)
+        orientation = find_transitive_orientation(complement(g))
         if orientation is None:
             raise NotIncomparabilityError("complement admits no transitive orientation")
     if orientation.n != g.n:

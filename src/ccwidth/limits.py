@@ -47,5 +47,4 @@ class Budget:
 
 BANDWIDTH_LIMITS = SearchLimits(max_n=12)
 CCW_LIMITS = SearchLimits(max_n=10)
-ORIENTATION_LIMITS = SearchLimits(max_n=16)
 UDIM_LIMITS = SearchLimits(max_n=7)

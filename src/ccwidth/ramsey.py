@@ -22,10 +22,7 @@ from .errors import (
     NotAnIntersectionError,
 )
 from .graphs import Graph
-from .limits import SearchLimits
 from .oracles import largest_induced_star
-
-RAMSEY_VERIFY_LIMITS = SearchLimits(max_n=6)
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class RamseyAnswer:
 def normalize_targets(targets) -> tuple[int, ...]:
     """Sorted targets with 1s and 2s reduced out.
 
-    R(1, rest) = 1 (handled by the caller before reduction) and
+    R(1, rest) = 1 (handled by the caller) and
     R(2, rest) = R(rest), so 2s simply drop.
     """
     ts = tuple(sorted(targets))
@@ -67,14 +64,9 @@ def _default_table() -> dict:
 
 
 def ramsey_lookup(targets, table: dict | None = None) -> RamseyAnswer:
-    ts = tuple(sorted(targets))
-    if not ts:
-        raise InvalidQueryError("empty target list")
-    if any(not isinstance(t, int) or t < 1 for t in ts):
-        raise InvalidQueryError(f"targets must be positive integers, got {ts}")
-    if 1 in ts:
+    reduced = normalize_targets(targets)
+    if 1 in targets:
         return RamseyAnswer("exact", 1, 1)
-    reduced = normalize_targets(ts)
     if not reduced:
         return RamseyAnswer("exact", 2, 2)  # all targets were 2
     if len(reduced) == 1:
@@ -144,7 +136,7 @@ def _witness_avoids(n: int, color1_edges: list, sizes: tuple[int, int]) -> bool:
     return not _coloring_has_mono(n, {(min(a, b), max(a, b)) for a, b in color1_edges}, sizes)
 
 
-def verify_ramsey_tiny(targets, limits: SearchLimits = RAMSEY_VERIFY_LIMITS) -> RamseyVerification:
+def verify_ramsey_tiny(targets) -> RamseyVerification:
     """Independently confirm a small Ramsey value.
 
     (3,3): both bounds by full enumeration.  (3,4): lower bound from the

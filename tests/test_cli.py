@@ -155,13 +155,48 @@ def test_greedy_recognizes_a_120_vertex_poset(capsys, tmp_path):
     g, _ = random_poset_graph(120, 0.05, 1)
     path = tmp_path / "poset.graph"
     path.write_text(serialize_graph(g))
-    code, report = run(
-        capsys, ["--limits-n", "200", "--out", str(tmp_path), "ccw", str(path), "--greedy"]
-    )
+    code, report = run(capsys, ["--out", str(tmp_path), "ccw", str(path), "--greedy"])
     assert code == 0
     cover = cover_from_json((tmp_path / "greedy_cover.json").read_text())
     assert validate_cover(g, cover).valid
     assert cover_width(g, cover) == report["results"]["upper"]
+
+
+def test_greedy_recognizes_a_300_vertex_poset_at_the_default_limits(capsys, tmp_path):
+    from ccwidth import random_poset_graph
+    from ccwidth.covers import cover_from_json, cover_width
+
+    g, _ = random_poset_graph(300, 0.05, 1)
+    path = tmp_path / "poset.graph"
+    path.write_text(serialize_graph(g))
+    code, report = run(capsys, ["--out", str(tmp_path), "ccw", str(path), "--greedy"])
+    assert code == 0
+    cover = cover_from_json((tmp_path / "greedy_cover.json").read_text())
+    assert cover_width(g, cover) == report["results"]["upper"]
+
+
+def test_decompose_auto_uses_the_greedy_cover_on_a_40_vertex_poset(capsys, tmp_path):
+    from ccwidth import random_poset_graph
+
+    g, _ = random_poset_graph(40, 0.1, 1)
+    path = tmp_path / "poset.graph"
+    path.write_text(serialize_graph(g))
+    argv = ["--out", str(tmp_path), "decompose", str(path), "--auto", "--verify"]
+    code, report = run(capsys, argv)
+    assert code == 0
+    assert report["results"]["cover_source"] == "greedy"
+    assert all(c["passed"] for c in report["results"]["verification"])
+
+
+def test_greedy_rejects_a_c5_component_beside_a_75_vertex_poset(capsys, tmp_path):
+    from ccwidth import build_graph, random_poset_graph
+
+    g, _ = random_poset_graph(75, 0.1, 1)
+    c5 = [(75 + i, 75 + (i + 1) % 5) for i in range(5)]
+    path = tmp_path / "poset_c5.graph"
+    path.write_text(serialize_graph(build_graph(80, g.edges() + c5)))
+    code, report = run(capsys, ["--out", str(tmp_path), "ccw", str(path), "--greedy"])
+    assert code == 5 and "error" in report
 
 
 def ten_vertex_poset(tmp_path):
@@ -204,6 +239,8 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, kind, text):
         ["ramsey", "--corollary", "0"],
         ["--limits-n", "-1", "ccw", "{k4}", "--exact"],
         ["--limits-n", "0", "ccw", "{k4}", "--exact"],
+        ["--limits-n", "0", "ccw", "{k4}", "--greedy"],
+        ["--limits-n", "0", "stats", "{k4}"],
         ["stats", "{tmp}/missing.graph"],
     ],
 )

@@ -2,6 +2,7 @@ from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccwidth import (
     Orientation,
@@ -29,8 +30,9 @@ from ccwidth.generators import (
     remark_three_cliques_graph,
     star_graph,
 )
-from ccwidth.graphs import is_connected
-from ccwidth.limits import SearchLimits
+from ccwidth.graphs import bits, is_connected
+from ccwidth.incomparability import random_poset_graph
+from ccwidth.limits import Budget, SearchLimits
 from ccwidth.oracles import _maximal_masks, _min_set_cover, _set_partitions
 
 from conftest import graphs
@@ -224,6 +226,70 @@ def test_orientation_none_exactly_when_brute_force_finds_none(g):
         for code in range(1 << len(edges))
     )
     assert (find_transitive_orientation(g) is not None) == brute
+
+
+def ref_find_transitive_orientation(g, limits=SearchLimits(max_n=16)):
+    """The backtracking recognizer the G-decomposition replaced."""
+    limits.check_n(g.n)
+    adj = g.adj
+    budget = Budget(limits)
+
+    def propagate(succ: list[int], pred: list[int], seed: tuple[int, int]) -> bool:
+        stack = [seed]
+        while stack:
+            u, v = stack.pop()
+            if succ[u] >> v & 1:
+                continue
+            if succ[v] >> u & 1 or not adj[u] >> v & 1:
+                return False
+            succ[u] |= 1 << v
+            pred[v] |= 1 << u
+            stack.extend((u, w) for w in bits(succ[v]))
+            stack.extend((w, v) for w in bits(pred[u]))
+        return True
+
+    frames = [([0] * g.n, [0] * g.n, None)]
+    while frames:
+        succ, pred, seed = frames.pop()
+        if seed is not None:
+            succ, pred = list(succ), list(pred)
+            if not propagate(succ, pred, seed):
+                continue
+        budget.tick()
+        for u in range(g.n):
+            # edges (u, v) with v > u that are not yet oriented either way
+            free = adj[u] >> (u + 1) << (u + 1) & ~(succ[u] | pred[u])
+            if free:
+                v = (free & -free).bit_length() - 1
+                # (u, v) is tried first, then (v, u)
+                frames.append((succ, pred, (v, u)))
+                frames.append((succ, pred, (u, v)))
+                break
+        else:
+            return Orientation(g.n, tuple(succ))
+    return None
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=300, deadline=None)
+def test_orientation_matches_backtracking_reference(g):
+    assert find_transitive_orientation(g) == ref_find_transitive_orientation(g)
+
+
+@given(
+    st.integers(min_value=7, max_value=14),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10**6),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_orientation_matches_backtracking_reference_on_posets(n, density, seed, rnd):
+    comp = complement(random_poset_graph(n, density, seed)[0])
+    label = list(range(n))
+    rnd.shuffle(label)
+    g = build_graph(n, [(label[u], label[v]) for u, v in comp.edges()])
+    o = find_transitive_orientation(g)
+    assert o is not None and o == ref_find_transitive_orientation(g)
 
 
 # ---------------------------------------------------------------------------
