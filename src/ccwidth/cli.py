@@ -10,6 +10,7 @@ codes: 0 success, 2 parse error, 3 limit exceeded, 4 verification failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -153,7 +154,7 @@ def cmd_decompose(args, report):
     if not rep.valid:
         raise InvalidCoverError(f"cover does not cover the graph: {rep}")
     width = cover_width(g, cover, checked=False)
-    d = decompose(g, cover)
+    d = decompose(g, cover, width)
     path = _write_witness(args, "decomposition.json", decomposition_to_json(d))
     witnesses = {"decomposition": path}
     for i, f in enumerate(d.factors):
@@ -357,8 +358,14 @@ EXIT_CODES = (
 )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.monotonic()
     report: dict = {"command": [args.command] + (argv or sys.argv[1:]), "results": {}}
     try:

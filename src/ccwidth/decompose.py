@@ -10,12 +10,12 @@ at most 1 grouping runs of W consecutive parts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .covers import OrderedCliqueCover, cover_width, make_cover, validate_cover
 from .errors import InvalidArgumentError
 from .graphs import (
+    HOLE,
     Graph,
     build_graph,
     complement,
@@ -24,6 +24,8 @@ from .graphs import (
     is_pairs,
     load_json,
     mask_of,
+    pairs_json,
+    splice_json,
 )
 from .oracles import Orientation, verify_transitive
 
@@ -60,9 +62,11 @@ def block_cover(cover: OrderedCliqueCover, w: int) -> OrderedCliqueCover:
     return OrderedCliqueCover(tuple(blocks))
 
 
-def decompose(g: Graph, cover: OrderedCliqueCover) -> Decomposition:
+def decompose(g: Graph, cover: OrderedCliqueCover, width: int | None = None) -> Decomposition:
+    """The factors of g through cover.  Pass the cover's width when the cover
+    has already been validated and measured; otherwise cover_width checks it."""
     # width 0 (every component a clique) gives one terminal factor: g itself
-    w = max(cover_width(g, cover), 1)
+    w = max(cover_width(g, cover) if width is None else width, 1)
     part_of = cover.part_of()
     comp = complement(g)
     full = g.full_mask()
@@ -227,20 +231,21 @@ def verify_decomposition(g: Graph, d: Decomposition) -> DecompositionReport:
 
 def decomposition_to_json(d: Decomposition) -> str:
     factors = []
+    pair_lists = []  # in the order their holes appear: sorted keys put "graph" before "orientation"
     for f in d.factors:
         factors.append(
             {
-                "graph": {"n": f.graph.n, "edges": f.graph.edges()},
+                "graph": {"n": f.graph.n, "edges": HOLE},
                 "kind": f.kind,
                 "bipartition": f.bipartition or None,
-                "orientation": {"n": f.orientation.n, "arcs": f.orientation.arcs} if f.orientation else None,
+                "orientation": {"n": f.orientation.n, "arcs": HOLE} if f.orientation else None,
                 "blocks": f.blocks.parts if f.blocks else None,
             }
         )
-    return json.dumps(
-        {"cover": d.source_cover.parts, "factors": factors},
-        sort_keys=True,
-    )
+        pair_lists.append(pairs_json(f.graph.upper()))
+        if f.orientation:
+            pair_lists.append(pairs_json(f.orientation.succ))
+    return splice_json({"cover": d.source_cover.parts, "factors": factors}, pair_lists)
 
 
 def _lists_or_none(x) -> bool:
@@ -260,6 +265,6 @@ def decomposition_from_json(text: str) -> Decomposition:
             oo = load_json(fo["orientation"], "factor orientation", n=is_count, arcs=is_pairs)
             ori = Orientation.from_arcs(oo["n"], oo["arcs"])
         bip = tuple(tuple(s) for s in fo["bipartition"]) if fo.get("bipartition") else None
-        blocks = make_cover(fo["blocks"]) if fo.get("blocks") else None
+        blocks = make_cover(fo["blocks"]) if fo.get("blocks") is not None else None
         factors.append(Factor(build_graph(go["n"], go["edges"]), fo["kind"], bip, ori, blocks))
     return Decomposition(make_cover(obj["cover"]), tuple(factors))

@@ -3,14 +3,16 @@
 Vertices are 0..n-1.  Adjacency is stored as one Python int bitmask per
 vertex, which keeps set algebra (common neighborhoods, masks of unplaced
 vertices, edge-set intersection across graphs) down to single integer ops.
+Pair lists and their text are read off the rows with C-level iteration over
+each row's bit string (`selector`), not with a Python step per pair.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator
+from itertools import chain, compress, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexOutOfRangeError, ParseError, SelfLoopError
 
@@ -21,6 +23,84 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def selector(mask: int) -> bytes:
+    """One byte per bit of a non-negative mask, lowest bit first: 1 where
+    the bit is set, else 0.  compress(seq, selector(mask)) yields seq[v] for
+    every set bit v, in ascending order, without a Python step per bit."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def row_pairs(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs (u, v) with bit v set in rows[u], sorted."""
+    vs = range(len(rows))
+    return list(chain.from_iterable(zip(repeat(u), compress(vs, selector(m))) for u, m in enumerate(rows)))
+
+
+def pairs_text(rows: Sequence[int], head: str, tail: str, sep: str = "") -> str:
+    """head.format(u) + tail.format(v) for every pair (u, v) with bit v set
+    in rows[u], sorted and joined by sep, with no (u, v) tuple made."""
+    vs = range(len(rows))
+    tails = [tail.format(v) for v in vs]
+    return sep.join(
+        h + (sep + h).join(compress(tails, selector(m))) for h, m in zip(map(head.format, vs), rows) if m
+    )
+
+
+def pairs_json(rows: Sequence[int]) -> str:
+    """The JSON text json.dumps writes for row_pairs(rows)."""
+    return "[" + pairs_text(rows, "[{}, ", "{}]", ", ") + "]"
+
+
+HOLE = "\0"
+
+
+def splice_json(obj, texts: Iterable[str]) -> str:
+    """json.dumps(obj, sort_keys=True) with each HOLE string in it replaced,
+    in order of appearance, by the next of texts (JSON text itself)."""
+    pieces = json.dumps(obj, sort_keys=True).split('"\\u0000"')
+    return "".join(chain.from_iterable(zip(pieces, texts))) + pieces[-1]
+
+
+def pair_rows(n: int, pairs: Iterable[tuple[int, int]], what: str, *, undirected: bool) -> tuple[int, ...]:
+    """rows[u] = mask of every v with a pair (u, v), and of every v with a
+    pair (v, u) too when undirected.  The first pair in input order with an
+    endpoint outside 0..n-1 raises IndexOutOfRangeError; when undirected, so
+    does a self-loop, with SelfLoopError."""
+    if n < 0:
+        raise IndexOutOfRangeError("vertex count must be non-negative")
+    pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
+    # bit is a dict, so a vertex outside 0..n-1, negative ones too, raises
+    # KeyError instead of wrapping around; the undirected loop looks up both
+    # ends in it, the directed one keeps its rows in a dict to check u
+    bit = {v: 1 << v for v in range(n)}
+    try:
+        if undirected:
+            rows = [0] * n
+            for u, v in pairs:
+                rows[u] |= bit[v]
+                rows[v] |= bit[u]
+        else:
+            by_tail = dict.fromkeys(range(n), 0)
+            for u, v in pairs:
+                by_tail[u] |= bit[v]
+            rows = list(by_tail.values())
+    except (KeyError, IndexError):
+        pass
+    else:
+        if not (undirected and any(m >> v & 1 for v, m in enumerate(rows))):
+            return tuple(rows)
+    # a bad pair: find the first one
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexOutOfRangeError(f"{what} ({u},{v}) out of range for n={n}")
+        if undirected and u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+    raise TypeError(f"{what} endpoints must be integers")
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -44,14 +124,13 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
+    def upper(self) -> list[int]:
+        """upper[u] = mask of the neighbors of u above u."""
+        return [a >> u + 1 << u + 1 for u, a in enumerate(self.adj)]
+
     def edges(self) -> list[tuple[int, int]]:
         """Edge list sorted by (min endpoint, max endpoint)."""
-        out = []
-        for u in range(self.n):
-            m = self.adj[u] >> (u + 1) << (u + 1)  # neighbors above u
-            for v in bits(m):
-                out.append((u, v))
-        return out
+        return row_pairs(self.upper())
 
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
@@ -61,17 +140,7 @@ class Graph:
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    if n < 0:
-        raise IndexOutOfRangeError("vertex count must be non-negative")
-    adj = [0] * n
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRangeError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return Graph(n, pair_rows(n, edges, "edge", undirected=True))
 
 
 def complement(g: Graph) -> Graph:
@@ -211,13 +280,10 @@ def _parse_edge_list(text: str) -> Graph:
 
 
 def serialize_graph(g: Graph, fmt: str = "edge-list", cover=None) -> str:
-    edges = g.edges()
     if fmt == "edge-list":
-        lines = [f"p {g.n} {len(edges)}"]
-        lines += [f"e {u} {v}" for u, v in edges]
-        return "\n".join(lines) + "\n"
+        return f"p {g.n} {g.edge_count()}\n" + pairs_text(g.upper(), "e {} ", "{}\n")
     if fmt == "json":
-        return json.dumps({"n": g.n, "edges": edges}, sort_keys=True)
+        return splice_json({"n": g.n, "edges": HOLE}, [pairs_json(g.upper())])
     if fmt == "dot":
         lines = ["graph {"]
         if cover is not None:
@@ -230,8 +296,5 @@ def serialize_graph(g: Graph, fmt: str = "edge-list", cover=None) -> str:
         else:
             for v in range(g.n):
                 lines.append(f"  {v};")
-        for u, v in edges:
-            lines.append(f"  {u} -- {v};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n" + pairs_text(g.upper(), "  {} -- ", "{};\n") + "}\n"
     raise ParseError(f"unknown graph format {fmt!r}")

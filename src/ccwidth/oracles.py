@@ -11,13 +11,16 @@ reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Iterator
 
 from .covers import OrderedCliqueCover, part_masks, quotient_masks
-from .errors import IndexOutOfRangeError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .graphs import (
+    HOLE,
     Graph,
     bits,
     complement,
@@ -28,6 +31,11 @@ from .graphs import (
     is_pairs,
     load_json,
     mask_of,
+    pair_rows,
+    pairs_json,
+    row_pairs,
+    selector,
+    splice_json,
 )
 from .limits import CCW_LIMITS, UDIM_LIMITS, Budget, SearchLimits
 
@@ -67,28 +75,19 @@ class Orientation:
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> Orientation:
-        if n < 0:
-            raise IndexOutOfRangeError("vertex count must be non-negative")
-        succ = [0] * n
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise IndexOutOfRangeError(f"arc ({u},{v}) out of range for n={n}")
-            succ[u] |= 1 << v
-        return cls(n, tuple(succ))
+        return cls(n, pair_rows(n, arcs, "arc", undirected=False))
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
         """All arcs (u, v), sorted."""
-        return tuple((u, v) for u, m in enumerate(self.succ) for v in bits(m))
+        return tuple(row_pairs(self.succ))
 
     def pred(self) -> list[int]:
-        """pred[v] = bitmask of the tails of the arcs entering v."""
-        pred = [0] * self.n
-        for u, m in enumerate(self.succ):
-            bit = 1 << u
-            for v in bits(m):
-                pred[v] |= bit
-        return pred
+        """pred[v] = bitmask of the tails of the arcs entering v: column v of
+        the succ bit matrix, with the rows written as bit strings from the
+        last row to the first, so row u lands on bit u."""
+        rows = [format(m, f"0{self.n}b") for m in reversed(self.succ)]
+        return [int("".join(col), 2) for col in zip(*rows)][::-1]
 
     def underlying(self) -> Graph:
         return Graph(self.n, tuple(s | p for s, p in zip(self.succ, self.pred())))
@@ -99,17 +98,13 @@ def verify_transitive(o: Orientation) -> bool:
     u->v (closure under composition; with no loops, this also rules out
     antiparallel arcs)."""
     succ = o.succ
-    for u, m in enumerate(succ):
-        if m >> u & 1:
-            return False
-        for v in bits(m):
-            if succ[v] & ~m:
-                return False
-    return True
+    return not any(
+        m >> u & 1 or reduce(or_, compress(succ, selector(m)), 0) & ~m for u, m in enumerate(succ)
+    )
 
 
 def orientation_to_json(o: Orientation) -> str:
-    return json.dumps({"n": o.n, "arcs": o.arcs}, sort_keys=True)
+    return splice_json({"n": o.n, "arcs": HOLE}, [pairs_json(o.succ)])
 
 
 def orientation_from_json(text: str) -> Orientation:

@@ -287,3 +287,52 @@ def test_decompose_cover_with_a_vertex_outside_the_graph_exits_2(capsys, tmp_pat
     assert "Traceback" not in out + err
     assert "7" in json.loads(out)["error"]
     assert not (tmp_path / "decomposition.json").exists()
+
+
+def test_main_reuses_one_parser_and_keeps_no_state_between_calls(capsys, tmp_path, monkeypatch):
+    from ccwidth import cli
+    from ccwidth.generators import cycle_graph
+
+    graph = tmp_path / "c5.graph"
+    graph.write_text(serialize_graph(cycle_graph(5)))
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"parts": [[0], [1], [2], [3], [4]]}))
+    out, g, c = str(tmp_path), str(graph), str(cover)
+    runs = [
+        ["--out", out, "--limits-n", "4", "ccw", g, "--exact"],
+        ["--out", out, "ccw", g, "--exact"],
+        ["--format", "edge-list", "stats", g],
+        ["--out", out, "decompose", g, "--cover", c, "--verify"],
+        ["parse", g, "--to", "dot"],
+        ["parse", g],
+        ["ramsey", "3", "3", "--verify-tiny"],
+        ["ramsey", "--corollary", "2"],
+    ]
+
+    def reports():
+        out = []
+        for argv in runs:
+            code = cli.main(argv)
+            report = json.loads(capsys.readouterr().out)
+            report.pop("timing_ms")
+            out.append((code, report))
+        return out
+
+    shared = reports()
+    assert cli._parser() is cli._parser()
+    # flags of one call do not carry into the next
+    assert [code for code, _ in shared[:2]] == [3, 0]
+    assert "serialized" in shared[4][1]["results"] and "serialized" not in shared[5][1]["results"]
+    assert "verification" in shared[6][1]["results"] and "kind" in shared[7][1]["results"]
+    # the same reports as with a parser built afresh for every call
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reports() == shared
+
+
+def test_negative_vertex_in_an_edge_list_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "neg.graph"
+    path.write_text("p 3 1\ne -1 2\n")
+    code = main(["stats", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in out + err
+    assert json.loads(out)["error"] == "edge (-1,2) out of range for n=3"

@@ -162,3 +162,10 @@ def test_optimal_cover_realizes_udim_bound():
         assert len(d.factors) == width
         assert all(is_unit_incomparability(f.graph) for f in d.factors)
         assert unit_intersection_dimension(g) <= len(d.factors)
+
+
+def test_empty_graph_decomposition_survives_a_json_round_trip():
+    g = build_graph(0, [])
+    d = decompose(g, make_cover([]))
+    back = decomposition_from_json(decomposition_to_json(d))
+    assert back == d and verify_decomposition(g, back).all_passed

@@ -1,0 +1,276 @@
+"""Differential tests of the mask <-> pair converters against the
+per-pair code they replaced, which is kept below verbatim as the reference.
+
+Graphs reach 70 vertices, so rows cross the 64-bit word; orientations
+include loops and non-transitive arc sets.  Text outputs must match byte for
+byte, and bad pair lists must raise the same error for the same pair.
+"""
+
+import json
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ccwidth import Orientation, build_graph, decompose, verify_transitive
+from ccwidth.covers import trivial_cover
+from ccwidth.decompose import decomposition_from_json, decomposition_to_json
+from ccwidth.errors import IndexOutOfRangeError, SelfLoopError
+from ccwidth.graphs import Graph, bits, parse_graph, serialize_graph
+from ccwidth.incomparability import greedy_layered_cover, random_poset_graph
+from ccwidth.oracles import orientation_from_json, orientation_to_json
+
+# ---------------------------------------------------------------------------
+# the replaced code
+
+
+def ref_edges(self):
+    """Edge list sorted by (min endpoint, max endpoint)."""
+    out = []
+    for u in range(self.n):
+        m = self.adj[u] >> (u + 1) << (u + 1)  # neighbors above u
+        for v in bits(m):
+            out.append((u, v))
+    return out
+
+
+def ref_build_graph(n, edges):
+    if n < 0:
+        raise IndexOutOfRangeError("vertex count must be non-negative")
+    adj = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexOutOfRangeError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
+def ref_from_arcs(n, arcs):
+    if n < 0:
+        raise IndexOutOfRangeError("vertex count must be non-negative")
+    succ = [0] * n
+    for u, v in arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexOutOfRangeError(f"arc ({u},{v}) out of range for n={n}")
+        succ[u] |= 1 << v
+    return Orientation(n, tuple(succ))
+
+
+def ref_arcs(self):
+    """All arcs (u, v), sorted."""
+    return tuple((u, v) for u, m in enumerate(self.succ) for v in bits(m))
+
+
+def ref_pred(self):
+    """pred[v] = bitmask of the tails of the arcs entering v."""
+    pred = [0] * self.n
+    for u, m in enumerate(self.succ):
+        bit = 1 << u
+        for v in bits(m):
+            pred[v] |= bit
+    return pred
+
+
+def ref_verify_transitive(o):
+    succ = o.succ
+    for u, m in enumerate(succ):
+        if m >> u & 1:
+            return False
+        for v in bits(m):
+            if succ[v] & ~m:
+                return False
+    return True
+
+
+def ref_serialize_graph(g, fmt="edge-list", cover=None):
+    edges = ref_edges(g)
+    if fmt == "edge-list":
+        lines = [f"p {g.n} {len(edges)}"]
+        lines += [f"e {u} {v}" for u, v in edges]
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        return json.dumps({"n": g.n, "edges": edges}, sort_keys=True)
+    if fmt == "dot":
+        lines = ["graph {"]
+        if cover is not None:
+            for i, part in enumerate(cover.parts):
+                lines.append(f"  subgraph cluster_{i} {{")
+                lines.append(f'    label="part {i}";')
+                for v in part:
+                    lines.append(f"    {v};")
+                lines.append("  }")
+        else:
+            for v in range(g.n):
+                lines.append(f"  {v};")
+        for u, v in edges:
+            lines.append(f"  {u} -- {v};")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    raise ValueError(fmt)
+
+
+def ref_orientation_to_json(o):
+    return json.dumps({"n": o.n, "arcs": ref_arcs(o)}, sort_keys=True)
+
+
+def ref_decomposition_to_json(d):
+    factors = []
+    for f in d.factors:
+        factors.append(
+            {
+                "graph": {"n": f.graph.n, "edges": ref_edges(f.graph)},
+                "kind": f.kind,
+                "bipartition": f.bipartition or None,
+                "orientation": {"n": f.orientation.n, "arcs": ref_arcs(f.orientation)} if f.orientation else None,
+                "blocks": f.blocks.parts if f.blocks else None,
+            }
+        )
+    return json.dumps(
+        {"cover": d.source_cover.parts, "factors": factors},
+        sort_keys=True,
+    )
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+DENSITIES = (0.0, 0.03, 0.3, 0.7, 1.0)
+
+
+@st.composite
+def wide_graphs(draw, max_n=70):
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from(DENSITIES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return ref_build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+
+
+@st.composite
+def orientations(draw, max_n=70):
+    """Arbitrary arc sets (loops and antiparallel arcs allowed) and
+    transitive closures of random DAGs, under a random relabeling."""
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from(DENSITIES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["arbitrary", "transitive", "transitive_plus_one"]))
+    if kind == "arbitrary":
+        arcs = [(u, v) for u in range(n) for v in range(n) if rng.random() < density]
+        return ref_from_arcs(n, arcs)
+    succ = [0] * n
+    for u in range(n - 1, -1, -1):
+        for v in range(u + 1, n):
+            if rng.random() < density and not succ[u] >> v & 1:
+                succ[u] |= 1 << v | succ[v]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    arcs = [(perm[u], perm[v]) for u in range(n) for v in bits(succ[u])]
+    if kind == "transitive_plus_one" and n:
+        arcs.append((rng.randrange(n), rng.randrange(n)))
+    return ref_from_arcs(n, arcs)
+
+
+# ---------------------------------------------------------------------------
+# writers and transposes
+
+
+# rows wider than one 64-bit word, every time
+WIDE_GRAPH = ref_build_graph(70, [(u, v) for u in range(70) for v in range(u + 1, 70) if (u * v + v) % 3])
+WIDE_ORIENTATION = ref_from_arcs(70, [(u, v) for u in range(70) for v in range(70) if (u + 2 * v) % 5 == 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_graphs())
+@example(WIDE_GRAPH)
+def test_graph_edges_and_text_match_the_reference(g):
+    assert g.edges() == ref_edges(g)
+    for fmt in ("edge-list", "json", "dot"):
+        assert serialize_graph(g, fmt) == ref_serialize_graph(g, fmt)
+    cover = trivial_cover(g)
+    assert serialize_graph(g, "dot", cover) == ref_serialize_graph(g, "dot", cover)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orientations())
+@example(WIDE_ORIENTATION)
+def test_orientation_converters_match_the_reference(o):
+    assert o.arcs == ref_arcs(o)
+    assert o.pred() == ref_pred(o)
+    assert verify_transitive(o) == ref_verify_transitive(o)
+    assert orientation_to_json(o) == ref_orientation_to_json(o)
+    assert orientation_from_json(orientation_to_json(o)) == o
+
+
+def test_verify_transitive_agrees_on_a_70_vertex_poset_and_a_loop():
+    _, o = random_poset_graph(70, 0.1, 3)
+    assert verify_transitive(o) and ref_verify_transitive(o)
+    loop = Orientation(3, (0b001, 0, 0))
+    assert not verify_transitive(loop) and not ref_verify_transitive(loop)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 70), st.sampled_from((0.02, 0.1, 0.3)), st.integers(0, 2**16))
+def test_decomposition_json_matches_the_reference(n, density, seed):
+    g, o = random_poset_graph(n, density, seed)
+    for cover in (greedy_layered_cover(o).cover, trivial_cover(g)):
+        d = decompose(g, cover)
+        text = decomposition_to_json(d)
+        assert text == ref_decomposition_to_json(d)
+        assert decomposition_from_json(text) == d
+        for f in d.factors:
+            assert serialize_graph(f.graph, "dot") == ref_serialize_graph(f.graph, "dot")
+
+
+# ---------------------------------------------------------------------------
+# readers: the same result, or the same error for the same first bad pair
+
+
+def outcome(build, n, pairs):
+    try:
+        return build(n, pairs)
+    except (IndexOutOfRangeError, SelfLoopError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_readers_match_the_reference_on_bad_pairs(data):
+    n = data.draw(st.integers(0, 70))
+    vertex = st.integers(-3, n + 2)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=20))
+    assert outcome(build_graph, n, pairs) == outcome(ref_build_graph, n, pairs)
+    assert outcome(Orientation.from_arcs, n, pairs) == outcome(ref_from_arcs, n, pairs)
+    # any iterable, not only a list
+    assert outcome(build_graph, n, iter(pairs)) == outcome(ref_build_graph, n, pairs)
+
+
+@pytest.mark.parametrize(
+    "pairs, error, message",
+    [
+        ([(0, 1), (1, 1), (0, 9)], SelfLoopError, "self-loop at vertex 1"),
+        ([(0, 1), (0, 9), (1, 1)], IndexOutOfRangeError, "edge (0,9) out of range for n=3"),
+        ([(2, 2), (-1, 2)], SelfLoopError, "self-loop at vertex 2"),
+        ([(-1, 2), (2, 2)], IndexOutOfRangeError, "edge (-1,2) out of range for n=3"),
+        ([(0, -3)], IndexOutOfRangeError, "edge (0,-3) out of range for n=3"),
+    ],
+)
+def test_build_graph_reports_the_first_bad_pair(pairs, error, message):
+    with pytest.raises(error) as exc:
+        build_graph(3, pairs)
+    assert str(exc.value) == message
+
+
+def test_from_arcs_rejects_negative_vertices_and_keeps_loops():
+    with pytest.raises(IndexOutOfRangeError, match=r"arc \(-1,0\) out of range for n=2"):
+        Orientation.from_arcs(2, [(0, 0), (-1, 0)])
+    with pytest.raises(IndexOutOfRangeError, match=r"arc \(1,-2\) out of range for n=2"):
+        Orientation.from_arcs(2, [(1, -2)])
+    assert Orientation.from_arcs(2, [(1, 1), (0, 1)]).succ == (0b10, 0b10)
+
+
+def test_negative_vertex_in_an_edge_list_is_out_of_range():
+    with pytest.raises(IndexOutOfRangeError, match=r"edge \(-1,2\) out of range for n=3"):
+        parse_graph("p 3 1\ne -1 2\n")
