@@ -62,9 +62,15 @@ EXIT_RECOGNIZE = 5
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    """A file, or stdin for "-", read as UTF-8 with newlines translated as
+    in text mode; bytes that are not UTF-8 raise ParseError."""
+    raw = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        where = "stdin" if path == "-" else path
+        raise ParseError(f"{where} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_graph(path: str, fmt: str):

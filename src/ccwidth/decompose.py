@@ -131,7 +131,8 @@ def verify_decomposition(g: Graph, d: Decomposition) -> DecompositionReport:
 
     (a) every factor is a supergraph of g;
     (b) the intersection of the factor edge sets equals E(g);
-    (c) each co-bipartite factor's complement is bipartite with its stored witness;
+    (c) each factor is co-bipartite or terminal, and each co-bipartite
+        factor's complement is bipartite with its stored witness;
     (d) the terminal orientation is transitive and covers exactly the
         terminal complement's edges;
     (e) the block cover is a valid clique cover of the terminal factor with
@@ -173,8 +174,11 @@ def verify_decomposition(g: Graph, d: Decomposition) -> DecompositionReport:
     ok = True
     detail = ""
     for idx, f in enumerate(d.factors):
-        if f.kind != CO_BIPARTITE:
+        if f.kind == TERMINAL:
             continue
+        if f.kind != CO_BIPARTITE:
+            ok, detail = False, f"factor {idx} has unknown kind {f.kind!r}"
+            break
         if f.bipartition is None:
             ok, detail = False, f"factor {idx} lacks a bipartition witness"
             break

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexOutOfRangeError, ParseError, SelfLoopError
@@ -242,11 +242,47 @@ def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
     raise ParseError(f"unknown graph format {fmt!r}")
 
 
+def _parse_canonical_edge_list(lines: list[str]) -> Graph | None:
+    """The graph of an edge list in the form serialize_graph writes: the
+    header on the first line, then only `e u v` lines, as many as the header
+    declares.  None for anything else, which includes every error.
+
+    The bit table is keyed by each vertex's decimal name, so an endpoint is
+    found without an int() call, and an endpoint written any other way
+    (`01`, `+1`) or out of range (`-1`, `n`) misses it.  The tables live in
+    this frame, so they are freed before the caller's line loop runs."""
+    try:
+        p, n, m = lines[0].split()
+        n, m = int(n), int(m)
+        if p != "p" or n < 0 or m != len(lines) - 1:
+            return None
+        names = list(map(str, range(n)))
+        bit = dict(zip(names, map((1).__lshift__, range(n))))
+        rows = dict.fromkeys(names, 0)
+        for line in islice(lines, 1, None):
+            e, u, v = line.split()
+            if e != "e":
+                return None
+            rows[u] |= bit[v]
+            rows[v] |= bit[u]
+    except (IndexError, KeyError, ValueError):
+        return None
+    adj = tuple(rows.values())
+    if any(a >> v & 1 for v, a in enumerate(adj)):
+        return None  # a self-loop
+    return Graph(n, adj)
+
+
 def _parse_edge_list(text: str) -> Graph:
+    lines = text.splitlines()
+    g = _parse_canonical_edge_list(lines)
+    if g is not None:
+        return g
+    # comments, blank lines, other numerals, and every error: one step per line
     n = None
     m_declared = None
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 
 import pytest
@@ -231,6 +233,47 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, kind, text):
     assert code == 2
     assert "Traceback" not in out + err
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "kind, data",
+    [
+        ("graph", b"p 2 1\ne 0 \xff\n"),
+        ("stdin", b"p 2 1\ne 0 \xff\n"),
+        ("cover", b'{"parts": [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]]}\xff'),
+        ("orientation", b'{"n": 10, "arcs": [\xff]}'),
+        ("decomposition", b"\xfe\xff"),
+    ],
+)
+def test_non_utf8_input_files_exit_2(capsys, monkeypatch, tmp_path, kind, data):
+    bad = tmp_path / "bad"
+    bad.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    graph = ten_vertex_poset(tmp_path)
+    argv = {
+        "graph": ["stats", str(bad)],
+        "stdin": ["stats", "-"],
+        "cover": ["decompose", graph, "--cover", str(bad)],
+        "orientation": ["ccw", graph, "--greedy", "--orientation", str(bad)],
+        "decomposition": ["verify", graph, "--decomposition", str(bad)],
+    }[kind]
+    code = main(["--out", str(tmp_path)] + argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in out + err
+    assert "not UTF-8" in json.loads(out)["error"]
+
+
+def test_stdin_and_crlf_files_give_the_digest_of_the_lf_text(capsys, monkeypatch, tmp_path):
+    text = "p 3 2\n# a path\ne 0 1\ne 1 2\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    crlf = tmp_path / "crlf.graph"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.replace("\n", "\r").encode())))
+    for path in (str(crlf), "-"):
+        code, report = run(capsys, ["parse", path])
+        assert code == 0 and report["input_digest"] == digest
+        assert report["results"] == {"n": 3, "m": 2}
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ccwidth import (
@@ -114,6 +116,29 @@ def test_overlapping_bipartition_sides_fail():
     )
     failed = {c.name for c in verify_decomposition(c5, tampered).failures()}
     assert failed == {"c_cobipartite_witnesses"}
+
+
+def test_factor_of_unknown_kind_fails_check_c(capsys, tmp_path):
+    from ccwidth.cli import main
+
+    # C5 (ccw 2) as its own factor, under a kind the verifier does not know:
+    # checks (a), (b), (d) and (e) all hold, so only (c) can catch it
+    c5 = cycle_graph(5)
+    _, cover = clique_cover_width_exact(c5)
+    d = decompose(c5, cover)
+    assert [f.kind for f in d.factors] == [CO_BIPARTITE, TERMINAL]
+    tampered = Decomposition(d.source_cover, (Factor(c5, "whatever"),) + d.factors[1:])
+    failures = verify_decomposition(c5, tampered).failures()
+    assert [(c.name, c.detail) for c in failures] == [
+        ("c_cobipartite_witnesses", "factor 0 has unknown kind 'whatever'")
+    ]
+
+    graph, stored = tmp_path / "c5.graph", tmp_path / "decomposition.json"
+    graph.write_text("p 5 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 0 4\n")
+    stored.write_text(decomposition_to_json(tampered))
+    assert main(["verify", str(graph), "--decomposition", str(stored)]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert not report["results"]["all_passed"]
 
 
 def test_tampered_orientation_fails():
