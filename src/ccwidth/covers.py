@@ -47,21 +47,28 @@ class CoverReport:
 def part_masks(g: Graph, parts) -> tuple[list[int], list[int], bool]:
     """One pass over the parts: each part's vertex mask, each part's
     neighbour mask (the OR of adj[v] over the part), and whether the parts
-    are disjoint cliques of g that list every vertex of g exactly once."""
+    are disjoint cliques of g that list every vertex of g exactly once.
+
+    A part is a clique iff its mask lies inside every member's closed
+    neighbourhood; a member >= n has none, so its part is not a clique."""
     adj, full = g.adj, g.full_mask()
     pms, nbrs = [], []
     seen = listed = 0
     clique = True
     for part in parts:
-        pm = mask_of(part)
+        pm = nb = 0
+        closed = -1  # AND of the members' closed neighbourhoods
+        for v in part:
+            b = 1 << v
+            pm |= b
+            if b <= full:
+                a = adj[v]
+                nb |= a
+                closed &= a | b
+        if pm & ~closed:
+            clique = False
         seen |= pm
         listed += len(part)
-        nb = 0
-        for v in part if pm <= full else bits(pm & full):
-            a = adj[v]
-            nb |= a
-            if pm & ~a != 1 << v:
-                clique = False
         pms.append(pm)
         nbrs.append(nb)
     return pms, nbrs, clique and seen == full and listed == g.n

@@ -275,18 +275,42 @@ def is_unit_incomparability(g: Graph, limits: SearchLimits = CCW_LIMITS) -> bool
 
 
 def enumerate_ordered_covers(g: Graph) -> Iterator[OrderedCliqueCover]:
-    """All ordered clique covers of g, in canonical order.  Exponential; only
-    meant for exhaustive desk-scale checks."""
-    adj = g.adj
+    """All ordered clique covers of g, in canonical order: the first part
+    runs over the cliques of g in lexicographic order of their vertex lists,
+    each later part over the cliques inside the vertices still uncovered.
+    Exponential; only meant for exhaustive desk-scale checks.
 
-    def rec(remaining: int, parts: tuple[tuple[int, ...], ...]):
-        if remaining == 0:
-            yield OrderedCliqueCover(parts)
-            return
-        for part in _cliques_containing(adj, remaining, 0):
-            yield from rec(remaining & ~part, parts + (tuple(bits(part)),))
+    The cliques are listed once, as a table; the cliques inside an uncovered
+    set are the table entries that are subsets of it, in table order, which
+    is their lexicographic order again.  Each such list is kept per set, as
+    (uncovered after the part, part) pairs, and the covers are walked with
+    an explicit stack of iterators over them."""
+    full = g.full_mask()
+    if not full:
+        yield OrderedCliqueCover(())
+        return
+    table = [(m, tuple(bits(m))) for m in _clique_extensions(g.adj, 0, full)]
+    fitting: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
 
-    yield from rec(g.full_mask(), ())
+    def choices(remaining: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        found = fitting.get(remaining)
+        if found is None:
+            found = fitting[remaining] = [(remaining & ~m, p) for m, p in table if not m & ~remaining]
+        return iter(found)
+
+    parts: list[tuple[int, ...]] = []
+    stack = [choices(full)]
+    while stack:
+        for rest, part in stack[-1]:
+            if rest:
+                parts.append(part)
+                stack.append(choices(rest))
+                break
+            yield OrderedCliqueCover((*parts, part))
+        else:
+            stack.pop()
+            if parts:
+                parts.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -136,12 +136,51 @@ def _witness_avoids(n: int, color1_edges: list, sizes: tuple[int, int]) -> bool:
     return not _coloring_has_mono(n, {(min(a, b), max(a, b)) for a, b in color1_edges}, sizes)
 
 
+def good_colorings(n: int, sizes: tuple[int, int]) -> list[tuple[int, ...]]:
+    """Every 2-coloring of K_n with no color-1 K_s and no color-2 K_t, for
+    (s, t) = sizes, as the adjacency masks of its color-1 graph.
+
+    Grown vertex by vertex: a good coloring of K_{k+1} restricts to a good
+    one of K_k, so each good coloring of K_k is extended by every set S of
+    its vertices as vertex k's color-1 neighbourhood, except those where S
+    holds a color-1 K_{s-1} or the vertices outside S hold a color-2
+    K_{t-1}.  The search is exhaustive, so an empty result proves
+    R(s, t) <= n."""
+    s, t = sizes
+    found: list[tuple[int, ...]] = [()]
+    for k in range(n):
+        below = (1 << k) - 1
+        grown = []
+        for adj in found:
+            other = [below & ~a & ~(1 << i) for i, a in enumerate(adj)]
+            for nb in range(1 << k):
+                if _has_clique(adj, nb, s - 1) or _has_clique(other, below & ~nb, t - 1):
+                    continue
+                grown.append(tuple(a | (nb >> i & 1) << k for i, a in enumerate(adj)) + (nb,))
+        found = grown
+    return found
+
+
+def _has_clique(adj, mask: int, size: int) -> bool:
+    """True iff the vertices in mask hold a clique of `size` vertices."""
+    if size <= 1:
+        return size <= 0 or mask != 0
+    while mask.bit_count() >= size:
+        low = mask & -mask
+        mask ^= low
+        if _has_clique(adj, mask & adj[low.bit_length() - 1], size - 1):
+            return True
+    return False
+
+
 def verify_ramsey_tiny(targets) -> RamseyVerification:
     """Independently confirm a small Ramsey value.
 
-    (3,3): both bounds by full enumeration.  (3,4): lower bound from the
-    stored K8 witness; the upper bound enumeration is out of budget and is
-    reported as skipped.  Single targets verify trivially.
+    (3,3): lower bound from the stored K5 witness, upper bound by
+    exhaustive vertex-by-vertex extension (good_colorings finds no good
+    coloring of K6).  (3,4): lower bound from the stored K8 witness; the
+    upper bound enumeration is out of budget and is reported as skipped.
+    Single targets verify trivially.
     """
     ts = tuple(sorted(targets))
     answer = ramsey_lookup(ts)
@@ -155,19 +194,10 @@ def verify_ramsey_tiny(targets) -> RamseyVerification:
     if reduced == (3, 3):
         if not _witness_avoids(5, _K5_WITNESS, (3, 3)):
             return RamseyVerification(ts, 6, False, False, ("stored K5 witness failed",))
-        edge_pairs = list(combinations(range(6), 2))
-        index = {pair: k for k, pair in enumerate(edge_pairs)}
-        triangle_masks = []
-        for tri in combinations(range(6), 3):
-            mask = 0
-            for a, b in combinations(tri, 2):
-                mask |= 1 << index[(a, b)]
-            triangle_masks.append(mask)
-        for code in range(1 << len(edge_pairs)):
-            if not any((code & tm) == tm or (code & tm) == 0 for tm in triangle_masks):
-                return RamseyVerification(
-                    ts, 6, True, False, (f"K6 coloring {code} avoids mono triangles",)
-                )
+        found = good_colorings(6, (3, 3))
+        if found:
+            note = f"K6 coloring with color-1 edges {Graph(6, found[0]).edges()} avoids mono triangles"
+            return RamseyVerification(ts, 6, True, False, (note,))
         return RamseyVerification(ts, 6, True, True)
 
     if reduced == (3, 4):

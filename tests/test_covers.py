@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccwidth import (
+    OrderedCliqueCover,
     bandwidth_exact,
     build_graph,
     cover_width,
@@ -71,6 +72,26 @@ def test_cover_width_c5_singletons():
 def test_cover_width_rejects_invalid():
     with pytest.raises(InvalidCoverError):
         cover_width(P3, make_cover([(0, 2), (1,)]))
+
+
+P4 = path_graph(4)  # 0 - 1 - 2 - 3
+
+
+@pytest.mark.parametrize(
+    "parts, report",
+    [
+        (((0, 0, 1), (2, 3)), "doubly_covered=(), non_clique_parts=((0, (0, 0)),), out_of_range=()"),
+        (((0, 1), (1, 2), (3,)), "doubly_covered=(1,), non_clique_parts=(), out_of_range=()"),
+        (((0, 1), (2, 3), (4,)), "doubly_covered=(), non_clique_parts=(), out_of_range=(4,)"),
+        (((0, 1), (2, 3, 7)), "doubly_covered=(), non_clique_parts=((1, (2, 7)),), out_of_range=(7,)"),
+        (((0, 2), (1,), (3,)), "doubly_covered=(), non_clique_parts=((0, (0, 2)),), out_of_range=()"),
+    ],
+    ids=["twice_in_one_part", "in_two_parts", "out_of_range", "out_of_range_in_a_part", "non_clique"],
+)
+def test_cover_width_rejects_with_the_full_report(parts, report):
+    with pytest.raises(InvalidCoverError) as exc:
+        cover_width(P4, OrderedCliqueCover(parts))
+    assert str(exc.value) == f"invalid cover: CoverReport(uncovered=(), {report})"
 
 
 def test_quotient_examples():

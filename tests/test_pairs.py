@@ -1,6 +1,6 @@
-"""Differential tests of the mask <-> pair converters and the edge-list
-reader against the per-pair code they replaced, which is kept below verbatim
-as the reference.
+"""Differential tests of the mask <-> pair converters, the edge-list reader
+and the ordered-cover enumeration against the code they replaced, which is
+kept below verbatim as the reference.
 
 Graphs reach 70 vertices, so rows cross the 64-bit word; orientations
 include loops and non-transitive arc sets.  Text outputs must match byte for
@@ -10,18 +10,26 @@ byte, and bad pair lists must raise the same error for the same pair.
 import json
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccwidth import Orientation, build_graph, decompose, verify_transitive
-from ccwidth.covers import trivial_cover
+from ccwidth.covers import OrderedCliqueCover, trivial_cover
 from ccwidth.decompose import decomposition_from_json, decomposition_to_json
 from ccwidth.errors import IndexOutOfRangeError, ParseError, SelfLoopError
 from ccwidth.graphs import Graph, bits, parse_graph, serialize_graph
 from ccwidth.incomparability import greedy_layered_cover, random_poset_graph
-from ccwidth.oracles import orientation_from_json, orientation_to_json
+from ccwidth.oracles import (
+    _cliques_containing,
+    enumerate_ordered_covers,
+    orientation_from_json,
+    orientation_to_json,
+)
+
+from conftest import graphs
 
 # ---------------------------------------------------------------------------
 # the replaced code
@@ -173,6 +181,21 @@ def ref_decomposition_to_json(d):
         {"cover": d.source_cover.parts, "factors": factors},
         sort_keys=True,
     )
+
+
+def ref_enumerate_ordered_covers(g):
+    """All ordered clique covers of g, in canonical order.  Exponential; only
+    meant for exhaustive desk-scale checks."""
+    adj = g.adj
+
+    def rec(remaining: int, parts: tuple[tuple[int, ...], ...]):
+        if remaining == 0:
+            yield OrderedCliqueCover(parts)
+            return
+        for part in _cliques_containing(adj, remaining, 0):
+            yield from rec(remaining & ~part, parts + (tuple(bits(part)),))
+
+    yield from rec(g.full_mask(), ())
 
 
 # ---------------------------------------------------------------------------
@@ -438,3 +461,54 @@ def test_edge_list_reader_peak_memory_stays_under_ten_times_the_text():
         tracemalloc.stop()
     assert g.edge_count() == 100_128
     assert peak < 10 * len(text), (peak, len(text))
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda: parse_graph("p 40000 0"),
+        lambda: parse_graph('{"n": 40000, "edges": []}', "json"),
+        lambda: orientation_from_json('{"n": 40000, "arcs": []}'),
+        lambda: parse_graph("p 40000 1\ne 0 39999\n"),
+    ],
+    ids=["edge-list", "json", "orientation", "one-edge"],
+)
+def test_readers_peak_memory_follows_the_vertices_named_not_the_header(read):
+    # a table of 1 << v for every v < n holds n^2 / 2 bits, ~100 MB here
+    tracemalloc.start()
+    try:
+        read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
+
+
+# ---------------------------------------------------------------------------
+# ordered-cover enumeration: the same covers in the same order
+
+
+def every_graph(n):
+    pairs = list(combinations(range(n), 2))
+    for code in range(1 << len(pairs)):
+        yield build_graph(n, [p for k, p in enumerate(pairs) if code >> k & 1])
+
+
+def test_enumeration_matches_the_reference_on_every_graph_up_to_five_vertices():
+    count = 0
+    for n in range(6):
+        for g in every_graph(n):
+            covers = list(enumerate_ordered_covers(g))
+            assert covers == list(ref_enumerate_ordered_covers(g)), g
+            count += len(covers)
+    assert count == 280_850
+
+
+@settings(max_examples=12, deadline=None)
+@given(graphs(min_n=6, max_n=7))
+def test_enumeration_matches_the_reference_at_six_and_seven(g):
+    assert list(enumerate_ordered_covers(g)) == list(ref_enumerate_ordered_covers(g))
+
+
+def test_enumeration_of_the_empty_graph_is_one_empty_cover():
+    assert list(enumerate_ordered_covers(Graph(0, ()))) == [OrderedCliqueCover(())]

@@ -1,3 +1,6 @@
+import json
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +20,10 @@ from ccwidth.errors import (
     LimitExceededError,
     NotAnIntersectionError,
 )
+from ccwidth.cli import main
 from ccwidth.generators import complete_graph, random_cobipartite
 from ccwidth.graphs import Graph
+from ccwidth.ramsey import RamseyVerification, good_colorings
 
 
 def test_lookup_single_target():
@@ -62,6 +67,71 @@ def test_drop_two_reduction(targets):
 def test_verify_three_three():
     v = verify_ramsey_tiny((3, 3))
     assert v.confirmed and v.claimed == 6
+
+
+def brute_force_good_colorings(n, sizes):
+    """Every 2-coloring of K_n, one bit per pair, kept when no s-set has all
+    its pairs in color 1 and no t-set all in color 2; as color-1 adjacency."""
+    pairs = list(combinations(range(n), 2))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    groups = [
+        (sum(1 << index[p] for p in combinations(group, 2)), color)
+        for color, size in zip((1, 2), sizes)
+        for group in combinations(range(n), size)
+    ]
+    out = set()
+    for code in range(1 << len(pairs)):
+        if any(code & m == (m if color == 1 else 0) for m, color in groups):
+            continue
+        adj = [0] * n
+        for k, (u, v) in enumerate(pairs):
+            if code >> k & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        out.add(tuple(adj))
+    return out
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (3, 4), (4, 3), (2, 3), (1, 3)])
+def test_vertex_extension_finds_exactly_the_good_colorings(sizes):
+    for n in range(7):
+        found = good_colorings(n, sizes)
+        assert len(found) == len(set(found))
+        assert set(found) == brute_force_good_colorings(n, sizes), n
+
+
+def test_good_colorings_of_k5_are_the_twelve_five_cycles_and_k6_has_none():
+    cycles = set()
+    for perm in permutations(range(1, 5)):
+        order = (0, *perm)
+        adj = [0] * 5
+        for u, v in zip(order, order[1:] + order[:1]):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        cycles.add(tuple(adj))
+    assert len(cycles) == 12
+    assert set(good_colorings(5, (3, 3))) == cycles
+    assert good_colorings(6, (3, 3)) == []
+
+
+def test_verify_three_three_is_unchanged():
+    assert verify_ramsey_tiny((3, 3)) == RamseyVerification((3, 3), 6, True, True)
+
+
+def test_ramsey_verify_tiny_report_is_unchanged(capsys):
+    assert main(["ramsey", "3", "3", "--verify-tiny"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["timing_ms"]
+    assert report == {
+        "command": ["ramsey", "ramsey", "3", "3", "--verify-tiny"],
+        "results": {
+            "hi": 6,
+            "kind": "exact",
+            "lo": 6,
+            "targets": [3, 3],
+            "verification": {"lower_verified": True, "notes": [], "upper_verified": True},
+        },
+    }
 
 
 def test_verify_three_four_lower_only():
