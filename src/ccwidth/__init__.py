@@ -5,7 +5,6 @@ induced-star size."""
 
 from .covers import (
     OrderedCliqueCover,
-    bandwidth_exact,
     cover_width,
     make_cover,
     ordering_width,
@@ -42,6 +41,7 @@ from .limits import SearchLimits
 from .oracles import (
     Orientation,
     StarCertificate,
+    bandwidth_exact,
     clique_cover_width_exact,
     enumerate_ordered_covers,
     find_transitive_orientation,

@@ -73,12 +73,19 @@ def _read_input(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _load_graph(path: str, fmt: str):
-    text = _read_input(path)
-    digest = hashlib.sha256(text.encode()).hexdigest()
+def _load_graph(args, report: dict):
+    """The input graph; records its digest in the report once it parses."""
+    text = _read_input(args.input)
+    fmt = args.format
     if fmt == "auto":
         fmt = "json" if text.lstrip().startswith("{") else "edge-list"
-    return parse_graph(text, fmt), digest
+    g = parse_graph(text, fmt)
+    report["input_digest"] = hashlib.sha256(text.encode()).hexdigest()
+    return g
+
+
+def _checks(vr) -> list[dict]:
+    return [{"check": c.name, "passed": c.passed, "detail": c.detail} for c in vr.checks]
 
 
 def _limits(args) -> SearchLimits:
@@ -106,8 +113,7 @@ def _emit(report: dict, started: float) -> None:
 # subcommands
 
 def cmd_parse(args, report):
-    g, digest = _load_graph(args.input, args.format)
-    report["input_digest"] = digest
+    g = _load_graph(args, report)
     report["results"] = {"n": g.n, "m": g.edge_count()}
     if args.to:
         report["results"]["serialized"] = serialize_graph(g, args.to)
@@ -115,8 +121,7 @@ def cmd_parse(args, report):
 
 
 def cmd_ccw(args, report):
-    g, digest = _load_graph(args.input, args.format)
-    report["input_digest"] = digest
+    g = _load_graph(args, report)
     if args.exact:
         width, cover = clique_cover_width_exact(g, args.limits)
         path = _write_witness(args, "ccw_witness_cover.json", cover_to_json(cover))
@@ -147,8 +152,7 @@ def _auto_cover(g):
 
 
 def cmd_decompose(args, report):
-    g, digest = _load_graph(args.input, args.format)
-    report["input_digest"] = digest
+    g = _load_graph(args, report)
     if args.cover:
         cover = cover_from_json(_read_input(args.cover))
         how = "file"
@@ -175,29 +179,22 @@ def cmd_decompose(args, report):
     report["witnesses"] = witnesses
     if args.verify:
         vr = verify_decomposition(g, d)
-        report["results"]["verification"] = [
-            {"check": c.name, "passed": c.passed, "detail": c.detail} for c in vr.checks
-        ]
+        report["results"]["verification"] = _checks(vr)
         if not vr.all_passed:
             return EXIT_VERIFY
     return EXIT_OK
 
 
 def cmd_verify(args, report):
-    g, digest = _load_graph(args.input, args.format)
-    report["input_digest"] = digest
+    g = _load_graph(args, report)
     d = decomposition_from_json(_read_input(args.decomposition))
     vr = verify_decomposition(g, d)
-    report["results"] = {
-        "all_passed": vr.all_passed,
-        "checks": [{"check": c.name, "passed": c.passed, "detail": c.detail} for c in vr.checks],
-    }
+    report["results"] = {"all_passed": vr.all_passed, "checks": _checks(vr)}
     return EXIT_OK if vr.all_passed else EXIT_VERIFY
 
 
 def cmd_star(args, report):
-    g, digest = _load_graph(args.input, args.format)
-    report["input_digest"] = digest
+    g = _load_graph(args, report)
     size, cert = largest_induced_star(g)
     report["results"] = {
         "star_leaves": size,
@@ -271,8 +268,7 @@ def cmd_ramsey(args, report):
 
 
 def cmd_stats(args, report):
-    g, digest = _load_graph(args.input, args.format)
-    report["input_digest"] = digest
+    g = _load_graph(args, report)
     comps = components(g)
     degrees = [g.degree(v) for v in range(g.n)] or [0]
     report["results"] = {

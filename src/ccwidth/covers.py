@@ -1,9 +1,8 @@
-"""Ordered clique covers, their width, the quotient graph, and bandwidth.
+"""Ordered clique covers, their width and the quotient graph.
 
 The width of an ordered cover is the largest part-index gap spanned by an
 edge of the host graph; the quotient graph contracts each part to a single
-vertex.  Bandwidth is computed exactly by iterative-deepening search and is
-meant as a desk-scale oracle, not a scalable solver.
+vertex.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 
 from .errors import InvalidCoverError, NotAPermutationError
 from .graphs import Graph, bits, is_lists, load_json, mask_of
-from .limits import BANDWIDTH_LIMITS, Budget, SearchLimits
 
 
 @dataclass(frozen=True)
@@ -151,58 +149,6 @@ def ordering_width(g: Graph, perm) -> int:
     if sorted(perm) != list(range(g.n)):
         raise NotAPermutationError("ordering must be a permutation of the vertex set")
     return mask_width(*part_masks(g, [(v,) for v in perm])[:2])
-
-
-def bandwidth_exact(g: Graph, limits: SearchLimits = BANDWIDTH_LIMITS) -> tuple[int, tuple[int, ...]]:
-    """Exact bandwidth with a witness ordering.
-
-    Iterative deepening on the target width; vertices are tried in ascending
-    order at each position, so the witness is the lexicographically smallest
-    optimal permutation.
-    """
-    limits.check_n(g.n)
-    n = g.n
-    if n == 0:
-        return 0, ()
-    lower = max((g.degree(v) + 1) // 2 for v in range(n))
-    budget = Budget(limits)
-    for w in range(lower, max(n - 1, 0) + 1):
-        witness = _place_with_width(g, w, budget)
-        if witness is not None:
-            return w, witness
-    return 0, tuple(range(n))  # n == 1 or edgeless falls out of the loop at w = 0
-
-
-def _place_with_width(g: Graph, w: int, budget: Budget) -> tuple[int, ...] | None:
-    n = g.n
-    adj = g.adj
-    order: list[int] = []
-
-    def rec(remaining: int, expired: int) -> bool:
-        if remaining == 0:
-            return True
-        budget.tick()
-        p = len(order)
-        # vertex falling out of the window must have no unplaced neighbors
-        # after this placement
-        for v in bits(remaining):
-            if adj[v] & expired:
-                continue
-            rest = remaining & ~(1 << v)
-            if p >= w and adj[order[p - w]] & rest:
-                continue
-            order.append(v)
-            new_expired = expired | ((1 << order[p - w]) if p - w >= 0 else 0)
-            if rec(rest, new_expired):
-                return True
-            order.pop()
-        return False
-
-    if w == 0:
-        if g.edge_count() > 0:
-            return None
-        return tuple(range(n))
-    return tuple(order) if rec(g.full_mask(), 0) else None
 
 
 # ---------------------------------------------------------------------------

@@ -135,12 +135,14 @@ def approximate_ccw(
 
     upper is the greedy cover width W; lower is ceil((W+1)/2) - 1, from the
     extracted star.  Guarantees lower <= CCW(g) <= upper and
-    upper <= 2 * CCW(g) + 1.
+    upper <= 2 * CCW(g) + 1.  check verifies a passed-in orientation; one
+    found here needs no check.
     """
     if orientation is None:
         orientation = find_transitive_orientation(complement(g))
         if orientation is None:
             raise NotIncomparabilityError("complement admits no transitive orientation")
+        check = False  # transitive, and exactly the complement's edges, by construction
     if orientation.n != g.n:
         raise CertificateExtractionError(
             f"orientation has {orientation.n} vertices, the graph has {g.n}"

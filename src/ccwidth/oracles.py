@@ -37,7 +37,7 @@ from .graphs import (
     selector,
     splice_json,
 )
-from .limits import CCW_LIMITS, UDIM_LIMITS, Budget, SearchLimits
+from .limits import BANDWIDTH_LIMITS, CCW_LIMITS, UDIM_LIMITS, Budget, SearchLimits
 
 
 @dataclass(frozen=True)
@@ -193,24 +193,24 @@ def _cliques_containing(adj, remaining: int, required: int) -> Iterator[int]:
     yield from _clique_extensions(adj, required, cands)
 
 
-def _cover_with_width_at_most(g: Graph, w: int, budget: Budget) -> tuple[int, ...] | None:
-    """First ordered clique cover of width <= w in canonical order, as a
-    tuple of part bitmasks, or None if none exists.
+def _singletons_containing(adj, remaining: int, required: int) -> Iterator[int]:
+    """One-vertex parts P with required ⊆ P ⊆ remaining, in vertex order."""
+    if not required & (required - 1):
+        for v in bits(required or remaining):
+            yield 1 << v
+
+
+def _cover_with_width_at_most(
+    g: Graph, w: int, budget: Budget, grow=_cliques_containing
+) -> tuple[int, ...] | None:
+    """First ordered cover of width <= w, for w >= 1, in canonical order, as
+    a tuple of part bitmasks, or None if none exists.  grow(adj, remaining,
+    required) yields the candidate next parts: the cliques by default, the
+    single vertices for bandwidth.
 
     Key pruning: once part i is placed, part i-w may not have neighbors among
     the still-uncovered vertices, so those neighbors are forced into part i.
     """
-    if g.n == 0:
-        return ()
-    if w == 0:
-        parts = []
-        for comp in components(g):
-            cm = mask_of(comp)
-            for v in comp:
-                if g.adj[v] & cm != cm & ~(1 << v):
-                    return None
-            parts.append(cm)
-        return tuple(parts)
     adj = g.adj
 
     def rec(remaining: int, parts: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -225,13 +225,31 @@ def _cover_with_width_at_most(g: Graph, w: int, budget: Budget) -> tuple[int, ..
             for v in bits(expiring):
                 nb |= adj[v]
             required = nb & remaining
-        for part in _cliques_containing(adj, remaining, required):
+        for part in grow(adj, remaining, required):
             found = rec(remaining & ~part, parts + (part,))
             if found is not None:
                 return found
         return None
 
     return rec(g.full_mask(), ())
+
+
+def bandwidth_exact(g: Graph, limits: SearchLimits = BANDWIDTH_LIMITS) -> tuple[int, tuple[int, ...]]:
+    """Exact bandwidth with a witness ordering: the width search with
+    one-vertex parts.
+
+    Iterative deepening on the target width from ceil(max degree / 2);
+    vertices are tried in ascending order at each position, so the witness
+    is the lexicographically smallest optimal permutation.
+    """
+    limits.check_n(g.n)
+    w = max(((d.bit_count() + 1) // 2 for d in g.adj), default=0)
+    if w == 0:
+        return 0, tuple(range(g.n))
+    budget = Budget(limits)
+    while (parts := _cover_with_width_at_most(g, w, budget, _singletons_containing)) is None:
+        w += 1
+    return w, tuple(p.bit_length() - 1 for p in parts)
 
 
 def clique_cover_width_exact(
@@ -241,7 +259,11 @@ def clique_cover_width_exact(
 
     Disconnected graphs take the maximum over components; the witness is the
     concatenation of per-component witnesses (no cross edges, so the width is
-    unaffected).
+    unaffected).  Each component's search starts at s // 2 = ceil((s-1)/2)
+    for its largest induced star of s leaves: the leaves are pairwise
+    non-adjacent, so they lie in distinct parts within w of the center's,
+    and s <= 2w + 1.  At s = 1 the component has no induced P3, so it is a
+    clique: one part, width 0.
     """
     limits.check_n(g.n)
     budget = Budget(limits)
@@ -249,16 +271,14 @@ def clique_cover_width_exact(
     all_parts: list[tuple[int, ...]] = []
     for comp in components(g):
         sub, back = induced_subgraph(g, comp)
-        star_size, _ = largest_induced_star(sub)
-        lower = max(0, -(-star_size // 2) - 1)
-        comp_width = sub.n  # unreachable sentinel
-        for w in range(lower, max(sub.n, 1)):
-            parts = _cover_with_width_at_most(sub, w, budget)
-            if parts is not None:
-                comp_width = w
-                all_parts.extend(tuple(sorted(back[v] for v in bits(p))) for p in parts)
-                break
-        width = max(width, comp_width)
+        w = largest_induced_star(sub)[0] // 2
+        if w == 0:
+            parts = (sub.full_mask(),)
+        else:
+            while (parts := _cover_with_width_at_most(sub, w, budget)) is None:
+                w += 1
+        width = max(width, w)
+        all_parts.extend(tuple(sorted(back[v] for v in bits(p))) for p in parts)
     return width, OrderedCliqueCover(tuple(all_parts))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations
 
 from .errors import (
     InvalidArgumentError,
@@ -21,7 +20,7 @@ from .errors import (
     LimitExceededError,
     NotAnIntersectionError,
 )
-from .graphs import Graph
+from .graphs import Graph, build_graph, complement
 from .oracles import largest_induced_star
 
 
@@ -113,27 +112,12 @@ class RamseyVerification:
         return self.lower_verified and self.upper_verified
 
 
-def _coloring_has_mono(n: int, color1_edges: set, sizes: tuple[int, int]) -> bool:
-    """True if some color class contains a complete subgraph of its target
-    size (color 1 checked against sizes[0], color 2 against sizes[1])."""
-    for color, size in ((1, sizes[0]), (2, sizes[1])):
-        for group in combinations(range(n), size):
-            mono = True
-            for a, b in combinations(group, 2):
-                in1 = (a, b) in color1_edges
-                if (color == 1) != in1:
-                    mono = False
-                    break
-            if mono:
-                break
-        else:
-            continue
-        return True
-    return False
-
-
 def _witness_avoids(n: int, color1_edges: list, sizes: tuple[int, int]) -> bool:
-    return not _coloring_has_mono(n, {(min(a, b), max(a, b)) for a, b in color1_edges}, sizes)
+    """True iff the color-1 graph has no K_s and its complement no K_t, for
+    (s, t) = sizes."""
+    g = build_graph(n, color1_edges)
+    full = g.full_mask()
+    return not (_has_clique(g.adj, full, sizes[0]) or _has_clique(complement(g).adj, full, sizes[1]))
 
 
 def good_colorings(n: int, sizes: tuple[int, int]) -> list[tuple[int, ...]]:

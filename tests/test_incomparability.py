@@ -114,6 +114,19 @@ def test_approx_cobipartite():
     assert clique_cover_width_exact(g)[0] == 1
 
 
+def test_recognized_orientation_is_not_rechecked(monkeypatch):
+    from ccwidth import incomparability
+
+    calls = []
+    real = incomparability.verify_transitive
+    monkeypatch.setattr(incomparability, "verify_transitive", lambda o: calls.append(o) or real(o))
+    g, _ = random_poset_graph(30, 0.2, 1)
+    recognized = approximate_ccw(g)
+    assert calls == []  # the recognizer's orientation is transitive by construction
+    assert approximate_ccw(g, find_transitive_orientation(complement(g))) == recognized
+    assert len(calls) == 1  # a passed-in orientation is still checked
+
+
 def test_approx_rejects_non_incomparability():
     with pytest.raises(NotIncomparabilityError):
         approximate_ccw(cycle_graph(5))

@@ -1,17 +1,23 @@
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.strategies import composite
 
 from ccwidth import (
+    OrderedCliqueCover,
     Orientation,
+    bandwidth_exact,
     build_graph,
     clique_cover_width_exact,
     complement,
+    components,
     cover_width,
     enumerate_ordered_covers,
     find_transitive_orientation,
+    induced_subgraph,
     is_unit_incomparability,
     largest_induced_star,
     unit_intersection_dimension,
@@ -30,10 +36,11 @@ from ccwidth.generators import (
     remark_three_cliques_graph,
     star_graph,
 )
-from ccwidth.graphs import bits, is_connected
+from ccwidth import oracles
+from ccwidth.graphs import bits, is_connected, mask_of
 from ccwidth.incomparability import random_poset_graph
-from ccwidth.limits import Budget, SearchLimits
-from ccwidth.oracles import _maximal_masks, _min_set_cover, _set_partitions
+from ccwidth.limits import BANDWIDTH_LIMITS, CCW_LIMITS, Budget, SearchLimits
+from ccwidth.oracles import _cliques_containing, _maximal_masks, _min_set_cover, _set_partitions
 
 from conftest import graphs
 
@@ -169,6 +176,193 @@ def test_cobipartite_star_bound():
     for seed in range(30):
         g = random_cobipartite(8, 0.4, seed)
         assert largest_induced_star(g)[0] <= 2
+
+
+# ---------------------------------------------------------------------------
+# differential references for the one ordered-cover search: bandwidth's own
+# placement search and the exact ccw with its w == 0 branch and the paper's
+# ceil(s/2) - 1 start, which the search with one-vertex parts and the
+# s // 2 start replaced
+
+
+def ref_bandwidth_exact(g, limits=BANDWIDTH_LIMITS):
+    """Exact bandwidth with a witness ordering.
+
+    Iterative deepening on the target width; vertices are tried in ascending
+    order at each position, so the witness is the lexicographically smallest
+    optimal permutation.
+    """
+    limits.check_n(g.n)
+    n = g.n
+    if n == 0:
+        return 0, ()
+    lower = max((g.degree(v) + 1) // 2 for v in range(n))
+    budget = Budget(limits)
+    for w in range(lower, max(n - 1, 0) + 1):
+        witness = ref_place_with_width(g, w, budget)
+        if witness is not None:
+            return w, witness
+    return 0, tuple(range(n))  # n == 1 or edgeless falls out of the loop at w = 0
+
+
+def ref_place_with_width(g, w, budget):
+    n = g.n
+    adj = g.adj
+    order: list[int] = []
+
+    def rec(remaining: int, expired: int) -> bool:
+        if remaining == 0:
+            return True
+        budget.tick()
+        p = len(order)
+        # vertex falling out of the window must have no unplaced neighbors
+        # after this placement
+        for v in bits(remaining):
+            if adj[v] & expired:
+                continue
+            rest = remaining & ~(1 << v)
+            if p >= w and adj[order[p - w]] & rest:
+                continue
+            order.append(v)
+            new_expired = expired | ((1 << order[p - w]) if p - w >= 0 else 0)
+            if rec(rest, new_expired):
+                return True
+            order.pop()
+        return False
+
+    if w == 0:
+        if g.edge_count() > 0:
+            return None
+        return tuple(range(n))
+    return tuple(order) if rec(g.full_mask(), 0) else None
+
+
+def ref_cover_with_width_at_most(g, w, budget):
+    """First ordered clique cover of width <= w in canonical order, as a
+    tuple of part bitmasks, or None if none exists.
+
+    Key pruning: once part i is placed, part i-w may not have neighbors among
+    the still-uncovered vertices, so those neighbors are forced into part i.
+    """
+    if g.n == 0:
+        return ()
+    if w == 0:
+        parts = []
+        for comp in components(g):
+            cm = mask_of(comp)
+            for v in comp:
+                if g.adj[v] & cm != cm & ~(1 << v):
+                    return None
+            parts.append(cm)
+        return tuple(parts)
+    adj = g.adj
+
+    def rec(remaining: int, parts: tuple[int, ...]) -> tuple[int, ...] | None:
+        if remaining == 0:
+            return parts
+        budget.tick()
+        i = len(parts)
+        required = 0
+        if i >= w:
+            expiring = parts[i - w]
+            nb = 0
+            for v in bits(expiring):
+                nb |= adj[v]
+            required = nb & remaining
+        for part in _cliques_containing(adj, remaining, required):
+            found = rec(remaining & ~part, parts + (part,))
+            if found is not None:
+                return found
+        return None
+
+    return rec(g.full_mask(), ())
+
+
+def ref_clique_cover_width_exact(g, limits=CCW_LIMITS):
+    """Minimum width over all ordered clique covers, with an optimal witness.
+
+    Disconnected graphs take the maximum over components; the witness is the
+    concatenation of per-component witnesses (no cross edges, so the width is
+    unaffected).
+    """
+    limits.check_n(g.n)
+    budget = Budget(limits)
+    width = 0
+    all_parts: list[tuple[int, ...]] = []
+    for comp in components(g):
+        sub, back = induced_subgraph(g, comp)
+        star_size, _ = largest_induced_star(sub)
+        lower = max(0, -(-star_size // 2) - 1)
+        comp_width = sub.n  # unreachable sentinel
+        for w in range(lower, max(sub.n, 1)):
+            parts = ref_cover_with_width_at_most(sub, w, budget)
+            if parts is not None:
+                comp_width = w
+                all_parts.extend(tuple(sorted(back[v] for v in bits(p))) for p in parts)
+                break
+        width = max(width, comp_width)
+    return width, OrderedCliqueCover(tuple(all_parts))
+
+
+@composite
+def mixed_graphs(draw, max_n=9):
+    """A random graph plus clique components (size 1: isolated vertices),
+    at most max_n vertices in all, relabelled at random."""
+    core = draw(graphs(max_n=max_n))
+    n, edges = core.n, list(core.edges())
+    for k in draw(st.lists(st.integers(min_value=1, max_value=4), max_size=4)):
+        if n + k > max_n:
+            break
+        edges += [(n + i, n + j) for i in range(k) for j in range(i + 1, k)]
+        n += k
+    label = draw(st.permutations(range(n)))
+    return build_graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def counted(fn, g):
+    """fn(g) and the Budget ticks it spent, with Budget swapped for a
+    counting subclass in ccwidth.oracles and in this module (the
+    references' Budget) while it runs."""
+    ticks = [0]
+
+    class Counting(Budget):
+        def tick(self, cost=1):
+            ticks[0] += cost
+            super().tick(cost)
+
+    with mock.patch.object(oracles, "Budget", Counting), mock.patch.dict(globals(), Budget=Counting):
+        result = fn(g)
+    return result, ticks[0]
+
+
+@given(mixed_graphs())
+@settings(max_examples=150, deadline=None)
+def test_bandwidth_matches_placement_reference_tick_for_tick(g):
+    assert counted(bandwidth_exact, g) == counted(ref_bandwidth_exact, g)
+
+
+@given(mixed_graphs())
+@settings(max_examples=150, deadline=None)
+def test_ccw_matches_parent_reference_with_no_more_ticks(g):
+    found, ticks = counted(clique_cover_width_exact, g)
+    ref, ref_ticks = counted(ref_clique_cover_width_exact, g)
+    assert found == ref
+    assert ticks <= ref_ticks
+    assert is_unit_incomparability(g) == (ref[0] <= 1)
+
+
+@given(mixed_graphs())
+@settings(max_examples=100, deadline=None)
+def test_star_bound_holds(g):
+    # s pairwise non-adjacent leaves in distinct parts within w of the
+    # center's part: s <= 2w + 1
+    assert largest_induced_star(g)[0] // 2 <= clique_cover_width_exact(g)[0]
+
+
+def test_star_bound_is_tight_on_stars():
+    for k in range(1, 8):
+        assert largest_induced_star(star_graph(k))[0] == k
+        assert clique_cover_width_exact(star_graph(k))[0] == k // 2
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from ccwidth.errors import (
 from ccwidth.cli import main
 from ccwidth.generators import complete_graph, random_cobipartite
 from ccwidth.graphs import Graph
-from ccwidth.ramsey import RamseyVerification, good_colorings
+from ccwidth.ramsey import _K5_WITNESS, _K8_WITNESS, RamseyVerification, _witness_avoids, good_colorings
+
+from conftest import graphs
 
 
 def test_lookup_single_target():
@@ -132,6 +134,44 @@ def test_ramsey_verify_tiny_report_is_unchanged(capsys):
             "verification": {"lower_verified": True, "notes": [], "upper_verified": True},
         },
     }
+
+
+def ref_coloring_has_mono(n, color1_edges, sizes):
+    """True if some color class contains a complete subgraph of its target
+    size (color 1 checked against sizes[0], color 2 against sizes[1])."""
+    for color, size in ((1, sizes[0]), (2, sizes[1])):
+        for group in combinations(range(n), size):
+            mono = True
+            for a, b in combinations(group, 2):
+                in1 = (a, b) in color1_edges
+                if (color == 1) != in1:
+                    mono = False
+                    break
+            if mono:
+                break
+        else:
+            continue
+        return True
+    return False
+
+
+def ref_witness_avoids(n, color1_edges, sizes):
+    return not ref_coloring_has_mono(n, {(min(a, b), max(a, b)) for a, b in color1_edges}, sizes)
+
+
+@given(graphs(max_n=8), st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_witness_check_matches_combinations_reference(g, s, t, data):
+    # each edge listed either way round
+    edges = [e if data.draw(st.booleans()) else e[::-1] for e in g.edges()]
+    assert _witness_avoids(g.n, edges, (s, t)) == ref_witness_avoids(g.n, edges, (s, t))
+
+
+def test_stored_witnesses_avoid_and_a_chord_breaks_k5():
+    assert _witness_avoids(5, _K5_WITNESS, (3, 3))
+    assert _witness_avoids(8, _K8_WITNESS, (3, 4))
+    assert not _witness_avoids(5, _K5_WITNESS + [(0, 2)], (3, 3))
+    assert not ref_witness_avoids(5, _K5_WITNESS + [(0, 2)], (3, 3))
 
 
 def test_verify_three_four_lower_only():
