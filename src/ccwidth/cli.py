@@ -128,7 +128,7 @@ def cmd_ccw(args, report):
         report["results"] = {"ccw": width}
         report["witnesses"] = {"cover": path}
     else:
-        ghat = orientation_from_json(_read_input(args.orientation)) if args.orientation else None
+        ghat = orientation_from_json(_read_input(args.orientation), g) if args.orientation else None
         res = approximate_ccw(g, ghat, check=not args.assume_transitive)
         cover_path = _write_witness(args, "greedy_cover.json", cover_to_json(res.witness_cover))
         star_path = _write_witness(

@@ -42,18 +42,23 @@ class CoverReport:
         return not (self.uncovered or self.doubly_covered or self.non_clique_parts or self.out_of_range)
 
 
-def part_masks(g: Graph, parts) -> tuple[list[int], list[int], bool]:
+def part_masks(g: Graph, parts) -> tuple[list[int], list[int], bool, int]:
     """One pass over the parts: each part's vertex mask, each part's
-    neighbour mask (the OR of adj[v] over the part), and whether the parts
-    are disjoint cliques of g that list every vertex of g exactly once.
+    neighbour mask (the OR of adj[v] over the part), whether the parts
+    are disjoint cliques of g that list every vertex of g exactly once, and
+    the width, the largest j - i with part j holding a neighbour of part i.
 
     A part is a clique iff its mask lies inside every member's closed
-    neighbourhood; a member >= n has none, so its part is not a clique."""
+    neighbourhood; a member >= n has none, so its part is not a clique.
+    The width only grows, in O(k + width) mask operations: part j raises it
+    while its neighbours meet before[j - w], the union of the parts more
+    than w before it.  Adjacency is symmetric, so this is also the largest
+    gap from a part i to a later part holding a neighbour of it."""
     adj, full = g.adj, g.full_mask()
-    pms, nbrs = [], []
-    seen = listed = 0
+    pms, nbrs, before = [], [], []  # before[j] = union of the parts before j
+    seen = listed = w = 0
     clique = True
-    for part in parts:
+    for j, part in enumerate(parts):
         pm = nb = 0
         closed = -1  # AND of the members' closed neighbourhoods
         for v in part:
@@ -65,11 +70,14 @@ def part_masks(g: Graph, parts) -> tuple[list[int], list[int], bool]:
                 closed &= a | b
         if pm & ~closed:
             clique = False
+        before.append(seen)
+        while w < j and nb & before[j - w]:
+            w += 1
         seen |= pm
         listed += len(part)
         pms.append(pm)
         nbrs.append(nb)
-    return pms, nbrs, clique and seen == full and listed == g.n
+    return pms, nbrs, clique and seen == full and listed == g.n, w
 
 
 def _report(g: Graph, parts, pms: list[int]) -> CoverReport:
@@ -97,31 +105,15 @@ def _non_adjacent_pair(g: Graph, part) -> tuple[int, int] | None:
 
 
 def validate_cover(g: Graph, cover: OrderedCliqueCover) -> CoverReport:
-    pms, _, valid = part_masks(g, cover.parts)
+    pms, _, valid, _ = part_masks(g, cover.parts)
     return CoverReport((), (), ()) if valid else _report(g, cover.parts, pms)
 
 
-def _checked_masks(g: Graph, cover: OrderedCliqueCover, checked: bool) -> tuple[list[int], list[int]]:
-    pms, nbrs, valid = part_masks(g, cover.parts)
+def _checked_masks(g: Graph, cover: OrderedCliqueCover, checked: bool) -> tuple[list[int], list[int], int]:
+    pms, nbrs, valid, width = part_masks(g, cover.parts)
     if checked and not valid:
         raise InvalidCoverError(f"invalid cover: {_report(g, cover.parts, pms)}")
-    return pms, nbrs
-
-
-def mask_width(pms: list[int], nbrs: list[int]) -> int:
-    """Largest j - i with nbrs[i] meeting pms[j], in O(k + width) mask
-    operations: w only grows, and part i is left once no part past i + w
-    holds a neighbour of it."""
-    above = pms[:]  # above[j] = vertices in parts >= j
-    for j in range(len(above) - 2, -1, -1):
-        above[j] |= above[j + 1]
-    w = i = 0
-    while i + w + 1 < len(above):
-        if nbrs[i] & above[i + w + 1]:
-            w += 1
-        else:
-            i += 1
-    return w
+    return pms, nbrs, width
 
 
 def quotient_masks(pms: list[int], nbrs: list[int]) -> list[int]:
@@ -132,11 +124,11 @@ def quotient_masks(pms: list[int], nbrs: list[int]) -> list[int]:
 def cover_width(g: Graph, cover: OrderedCliqueCover, *, checked: bool = True) -> int:
     """Maximum |j - i| over edges with endpoints in parts i and j; 0 if no
     edge crosses parts."""
-    return mask_width(*_checked_masks(g, cover, checked))
+    return _checked_masks(g, cover, checked)[2]
 
 
 def quotient_graph(g: Graph, cover: OrderedCliqueCover) -> Graph:
-    q = quotient_masks(*_checked_masks(g, cover, True))
+    q = quotient_masks(*_checked_masks(g, cover, True)[:2])
     return Graph(len(q), tuple(q))
 
 
@@ -148,7 +140,7 @@ def ordering_width(g: Graph, perm) -> int:
     perm = list(perm)
     if sorted(perm) != list(range(g.n)):
         raise NotAPermutationError("ordering must be a permutation of the vertex set")
-    return mask_width(*part_masks(g, [(v,) for v in perm])[:2])
+    return part_masks(g, [(v,) for v in perm])[3]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ satisfies s(g) - 1 >= W >= ceil(s(g)/2) - 1, where s(g) is the largest
 induced-star leaf count.  Walking an arc chain back from a width-realizing
 edge extracts a star certificate with exactly W + 1 leaves, which is what
 makes the greedy cover a two-sided estimate of the clique cover width.
+A passed-in orientation is checked against g with O(n) mask operations
+besides the transitivity test; the complement is built only on a failure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import and_, or_
 
 from .covers import OrderedCliqueCover, cover_width
 from .errors import (
@@ -147,9 +149,21 @@ def approximate_ccw(
         raise CertificateExtractionError(
             f"orientation has {orientation.n} vertices, the graph has {g.n}"
         )
-    if check and orientation.underlying() != complement(g):
-        raise CertificateExtractionError("orientation arcs are not exactly the complement's edges")
-    lc = greedy_layered_cover(orientation, check=check)
+    # the arcs are the complement's edges, once each, and transitive iff
+    # none is an edge of g, there are |E(complement)| of them, and they are
+    # transitive: that rules out loops, and so antiparallel pairs.  Only on
+    # a failure is the complement built, so that wrong arcs are reported
+    # before intransitive ones
+    succ = orientation.succ
+    if check and (
+        any(map(and_, succ, g.adj))
+        or sum(map(int.bit_count, succ)) != g.n * (g.n - 1) // 2 - g.edge_count()
+        or not verify_transitive(orientation)
+    ):
+        if orientation.underlying() != complement(g):
+            raise CertificateExtractionError("orientation arcs are not exactly the complement's edges")
+        raise NotTransitiveError("orientation is not transitive")
+    lc = greedy_layered_cover(orientation, check=False)
     upper = cover_width(g, lc.cover, checked=check)
     cert = extract_star_certificate(g, orientation, lc)
     leaves = cert.leaf_count

@@ -1,6 +1,7 @@
 """Exact desk-scale oracles: clique cover width, largest induced star,
 unit-incomparability testing and the unit intersection dimension, plus
-transitive-orientation recognition.
+transitive-orientation recognition and the orientation file, which stores
+an orientation of a graph's complement as a vertex order.
 
 The oracles are exponential searches guarded by SearchLimits.  Recognition
 is not: it is Golumbic's polynomial G-decomposition, with no vertex cap and
@@ -11,16 +12,16 @@ reproducible.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import or_
 from typing import Iterable, Iterator
 
 from .covers import OrderedCliqueCover, part_masks, quotient_masks
-from .errors import InvalidArgumentError
+from .errors import CertificateExtractionError, InvalidArgumentError, ParseError
 from .graphs import (
-    HOLE,
     Graph,
     bits,
     complement,
@@ -32,10 +33,8 @@ from .graphs import (
     load_json,
     mask_of,
     pair_rows,
-    pairs_json,
     row_pairs,
     selector,
-    splice_json,
 )
 from .limits import BANDWIDTH_LIMITS, CCW_LIMITS, UDIM_LIMITS, Budget, SearchLimits
 
@@ -104,12 +103,39 @@ def verify_transitive(o: Orientation) -> bool:
 
 
 def orientation_to_json(o: Orientation) -> str:
-    return splice_json({"n": o.n, "arcs": HOLE}, [pairs_json(o.succ)])
+    """The order file of a DAG: its longest-path layers, sources first, one
+    after another.  That is a linear extension of o, so reading the file
+    against complement(o.underlying()) gives o back.  A cyclic o raises
+    CyclicOrientationError."""
+    from .incomparability import greedy_layered_cover  # which imports this module
+
+    layers = greedy_layered_cover(o, check=False).cover.parts
+    return json.dumps({"n": o.n, "order": list(chain.from_iterable(layers))}, sort_keys=True)
 
 
-def orientation_from_json(text: str) -> Orientation:
-    obj = load_json(text, "orientation", n=is_count, arcs=is_pairs)
-    return Orientation.from_arcs(obj["n"], obj["arcs"])
+def orientation_from_json(text: str, g: Graph) -> Orientation:
+    """The orientation of the complement of g that an orientation file
+    gives.  An "order" file is a permutation of the vertices: each non-edge
+    of g points from its earlier end to its later one.  An "arcs" file
+    lists the arcs.  A malformed file raises ParseError; an order file for
+    another vertex count than g's raises CertificateExtractionError."""
+    obj = load_json(text, "orientation", n=is_count)
+    if "order" not in obj:
+        return Orientation.from_arcs(obj["n"], load_json(obj, "orientation", arcs=is_pairs)["arcs"])
+    n, order = obj["n"], obj["order"]
+    if "arcs" in obj:
+        raise ParseError("orientation JSON has both 'arcs' and 'order'")
+    if not (type(order) is list and set(map(type, order)) <= {int} and len(order) == n
+            and sorted(order) == list(range(n))):
+        raise ParseError(f"orientation JSON's 'order' is not a permutation of 0..{n - 1}")
+    if n != g.n:
+        raise CertificateExtractionError(f"orientation has {n} vertices, the graph has {g.n}")
+    succ = [0] * n
+    after = g.full_mask()  # the vertices after v in the order, once v is reached
+    for v in order:
+        after ^= 1 << v
+        succ[v] = after & ~g.adj[v]
+    return Orientation(n, tuple(succ))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +218,13 @@ def ten_vertex_poset(tmp_path):
         ("cover", '{"parts": 5}'),
         ("orientation", '{"n": 10, "arcs": [[0]]}'),
         ("orientation", '{"n": 10, "arcs": [[0, 99]]}'),
+        ("orientation", '{"n": 10, "order": [0, 1, 2, 3, 4, 5, 6, 7, 8, 10]}'),
+        ("orientation", '{"n": 10, "order": [0, 1, 2, 3, 4, 5, 6, 7, 8]}'),
+        ("orientation", '{"n": 10, "order": [0, 0, 2, 3, 4, 5, 6, 7, 8, 9]}'),
+        ("orientation", '{"n": 10, "order": [-1, 1, 2, 3, 4, 5, 6, 7, 8, 9]}'),
+        ("orientation", '{"n": 10, "order": [true, 0, 2, 3, 4, 5, 6, 7, 8, 9]}'),
+        ("orientation", '{"n": 10, "order": "0123456789"}'),
+        ("orientation", '{"n": 10, "order": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], "arcs": []}'),
     ],
 )
 def test_malformed_input_files_exit_2(capsys, tmp_path, kind, text):
@@ -297,20 +305,58 @@ def test_invalid_arguments_and_missing_files_exit_2(capsys, tmp_path, k4_file, a
 def test_orientation_vertex_count_must_match_the_graph(capsys, tmp_path, n):
     graph = ten_vertex_poset(tmp_path)
     ori = tmp_path / "o.json"
-    ori.write_text(json.dumps({"n": n, "arcs": []}))
     argv = ["--out", str(tmp_path), "ccw", graph, "--greedy", "--orientation", str(ori)]
-    code, report = run(capsys, argv + ["--assume-transitive"])
-    assert code == 4 and "vertices" in report["error"]
+    for text in (json.dumps({"n": n, "arcs": []}), json.dumps({"n": n, "order": list(range(n))})):
+        ori.write_text(text)
+        code, report = run(capsys, argv + ["--assume-transitive"])
+        assert code == 4 and "vertices" in report["error"]
+
+
+def test_an_order_that_orients_the_complement_intransitively_exits_4(capsys, tmp_path):
+    # g has the one edge 0-2, so the order 0, 1, 2 orients its complement as
+    # 0 -> 1 -> 2 with no arc 0 -> 2: the umbrella 0 < 1 < 2 over edge 0-2
+    graph = tmp_path / "g.graph"
+    graph.write_text("p 3 1\ne 0 2\n")
+    ori = tmp_path / "o.json"
+    ori.write_text('{"n": 3, "order": [0, 1, 2]}')
+    argv = ["--out", str(tmp_path), "ccw", str(graph), "--greedy", "--orientation", str(ori)]
+    code, report = run(capsys, argv)
+    assert code == 4 and report["error"] == "orientation is not transitive"
+    ori.write_text('{"n": 3, "order": [1, 0, 2]}')
+    code, report = run(capsys, argv)
+    assert code == 0 and report["results"] == {"lower": 0, "upper": 0}
+
+
+def test_gen_poset_order_file_and_an_arcs_file_give_the_same_greedy_run(capsys, tmp_path):
+    from ccwidth import random_poset_graph
+
+    out = str(tmp_path)
+    code, report = run(capsys, ["--out", out, "gen", "poset", "300", "0.05"])
+    assert code == 0
+    graph, ori = report["witnesses"]["graph"], report["witnesses"]["orientation"]
+    assert set(json.loads(Path(ori).read_text())) == {"n", "order"}
+    argv = ["--out", out, "ccw", graph, "--greedy", "--orientation", ori]
+
+    def greedy_run():
+        code, report = run(capsys, argv)
+        assert code == 0
+        report.pop("timing_ms")
+        return report, [Path(p).read_bytes() for p in sorted(report["witnesses"].values())]
+
+    by_order = greedy_run()
+    # the generator's orientation as an arcs file, at the same path
+    _, o = random_poset_graph(300, 0.05, 0)
+    Path(ori).write_text(json.dumps({"n": o.n, "arcs": o.arcs}))
+    assert greedy_run() == by_order
 
 
 def test_orientation_arcs_must_be_the_complement_edges(capsys, tmp_path):
-    from ccwidth import Orientation, random_poset_graph
-    from ccwidth.oracles import orientation_to_json
+    from ccwidth import random_poset_graph
 
     _, o = random_poset_graph(10, 0.3, 2)
     ori = tmp_path / "o.json"
     # one complement edge left unoriented
-    ori.write_text(orientation_to_json(Orientation.from_arcs(10, o.arcs[1:])))
+    ori.write_text(json.dumps({"n": 10, "arcs": o.arcs[1:]}))
     graph = ten_vertex_poset(tmp_path)
     code, report = run(
         capsys, ["--out", str(tmp_path), "ccw", graph, "--greedy", "--orientation", str(ori)]

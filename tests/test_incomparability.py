@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ccwidth import (
     Orientation,
@@ -14,14 +18,18 @@ from ccwidth import (
     random_poset_graph,
     validate_cover,
     validate_star,
+    verify_transitive,
 )
 from ccwidth.errors import (
+    CertificateExtractionError,
     CyclicOrientationError,
     NotIncomparabilityError,
     NotTransitiveError,
 )
 from ccwidth.generators import complete_graph, cycle_graph, star_graph
+from ccwidth.graphs import Graph
 from ccwidth.limits import SearchLimits
+from ccwidth.oracles import orientation_from_json, orientation_to_json
 
 
 def star5_with_orientation():
@@ -170,3 +178,75 @@ def test_two_approx_against_oracle():
         exact, _ = clique_cover_width_exact(g)
         assert res.lower <= exact <= res.upper
         assert res.upper <= 2 * exact + 1
+
+
+# ---------------------------------------------------------------------------
+# orientation files and the check of a passed-in orientation
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 14), st.sampled_from((0.0, 0.1, 0.3, 0.6, 1.0)), st.integers(0, 2**16), st.data())
+def test_order_and_arcs_files_give_the_same_orientation_and_result(n, density, seed, data):
+    _, o = random_poset_graph(n, density, seed)
+    perm = data.draw(st.permutations(range(n)))
+    o = Orientation.from_arcs(n, [(perm[u], perm[v]) for u, v in o.arcs])
+    g = complement(o.underlying())
+    by_arcs = orientation_from_json(json.dumps({"n": n, "arcs": o.arcs}), g)
+    by_order = orientation_from_json(orientation_to_json(o), g)
+    assert by_arcs == by_order == o
+    assert approximate_ccw(g, by_order) == approximate_ccw(g, by_arcs)
+
+
+def ref_check(g, o):
+    """The check approximate_ccw(check=True) made before the O(n) one: the
+    arcs' underlying graph against the complement, then transitivity."""
+    if o.underlying() != complement(g):
+        raise CertificateExtractionError("orientation arcs are not exactly the complement's edges")
+    if not verify_transitive(o):
+        raise NotTransitiveError("orientation is not transitive")
+
+
+def check_outcome(check, g, o):
+    try:
+        check(g, o)
+    except (CertificateExtractionError, NotTransitiveError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def edited_orientations(draw):
+    """A poset graph g and an orientation of its complement, its arcs
+    turned at random or not, then edited up to four times: a loop, an arc
+    added (an edge of g, or the reverse of an arc), an arc dropped or an
+    arc flipped."""
+    n = draw(st.integers(0, 9))
+    g, o = random_poset_graph(n, draw(st.sampled_from((0.0, 0.2, 0.5, 1.0))), draw(st.integers(0, 2**16)))
+    arcs = set(o.arcs)
+    if draw(st.booleans()):
+        arcs = {(u, v) if draw(st.booleans()) else (v, u) for u, v in sorted(arcs)}
+    vertex = st.integers(0, max(n - 1, 0))
+    for edit in draw(st.lists(st.sampled_from(["loop", "add", "drop", "flip"]), max_size=4 if n else 0)):
+        if edit == "loop":
+            v = draw(vertex)
+            arcs.add((v, v))
+        elif edit == "add":
+            arcs.add((draw(vertex), draw(vertex)))
+        elif arcs:
+            u, v = draw(st.sampled_from(sorted(arcs)))
+            arcs.discard((u, v))
+            if edit == "flip":
+                arcs.add((v, u))
+    return g, Orientation.from_arcs(n, arcs)
+
+
+# as many arcs as the complement has edges, but with an antiparallel pair
+# where the edge 0-2 is missing, or on an edge of g: the underlying graph is
+# what must fail
+@example((Graph(3, (0, 0, 0)), Orientation.from_arcs(3, [(0, 1), (1, 0), (1, 2)])))
+@example((Graph(3, (0b010, 0b101, 0b010)), Orientation.from_arcs(3, [(0, 1)])))
+@settings(max_examples=400, deadline=None)
+@given(edited_orientations())
+def test_passed_in_orientation_check_matches_the_underlying_graph_check(case):
+    g, o = case
+    assert check_outcome(approximate_ccw, g, o) == check_outcome(ref_check, g, o)

@@ -174,9 +174,8 @@ def test_stored_witnesses_avoid_and_a_chord_breaks_k5():
     assert not ref_witness_avoids(5, _K5_WITNESS + [(0, 2)], (3, 3))
 
 
-def test_verify_three_four_lower_only():
-    v = verify_ramsey_tiny((3, 4))
-    assert v.lower_verified and not v.upper_verified
+def test_verify_three_four_confirmed():
+    assert verify_ramsey_tiny((3, 4)) == RamseyVerification((3, 4), 9, True, True)
 
 
 def test_verify_single_target():
