@@ -148,7 +148,8 @@ def _auto_cover(g):
     ghat = find_transitive_orientation(complement(g))
     if ghat is None:
         return trivial_cover(g), "trivial"
-    return greedy_layered_cover(ghat).cover, "greedy"
+    # the recognizer's orientation is transitive by construction
+    return greedy_layered_cover(ghat, check=False).cover, "greedy"
 
 
 def cmd_decompose(args, report):

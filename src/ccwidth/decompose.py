@@ -25,6 +25,7 @@ from .graphs import (
     load_json,
     mask_of,
     pairs_json,
+    read_pair_json,
     splice_json,
 )
 from .oracles import Orientation, verify_transitive
@@ -257,7 +258,11 @@ def _lists_or_none(x) -> bool:
 
 
 def decomposition_from_json(text: str) -> Decomposition:
-    obj = load_json(text, "decomposition", cover=is_lists, factors=lambda x: type(x) is list)
+    return read_pair_json(text, _decomposition)
+
+
+def _decomposition(value) -> Decomposition:
+    obj = load_json(value, "decomposition", cover=is_lists, factors=lambda x: type(x) is list)
     factors = []
     for fo in obj["factors"]:
         fo = load_json(

@@ -4,18 +4,21 @@ Vertices are 0..n-1.  Adjacency is stored as one Python int bitmask per
 vertex, which keeps set algebra (common neighborhoods, masks of unplaced
 vertices, edge-set intersection across graphs) down to single integer ops.
 Pair lists and their text are read off the rows with C-level iteration over
-each row's bit string (`selector`), not with a Python step per pair.
+each row's bit string (`selector`), not with a Python step per pair.  Pair
+text is read back the same way: a chunk at a time into an n*n byte matrix,
+whose rows and columns become the masks (`bit_matrix_lines`).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
-from math import isqrt
+from itertools import chain, compress, repeat
+from operator import or_, setitem
 from typing import Iterable, Iterator, Sequence
 
-from .errors import IndexOutOfRangeError, ParseError, SelfLoopError
+from .errors import CCWidthError, IndexOutOfRangeError, ParseError, SelfLoopError
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -67,19 +70,21 @@ def splice_json(obj, texts: Iterable[str]) -> str:
     return "".join(chain.from_iterable(zip(pieces, texts))) + pieces[-1]
 
 
-def _bit_block(v: int, n: int, name=None) -> Iterator[tuple]:
-    """(name(w), 1 << w) for the vertices w < n of v's block of 64."""
+def _bit_block(v: int, n: int) -> Iterator[tuple]:
+    """(w, 1 << w) for the vertices w < n of v's block of 64."""
     ws = range(v >> 6 << 6, min(n, (v | 63) + 1))
-    return zip(ws if name is None else map(name, ws), map((1).__lshift__, ws))
+    return zip(ws, map((1).__lshift__, ws))
 
 
 def pair_rows(n: int, pairs: Iterable[tuple[int, int]], what: str, *, undirected: bool) -> tuple[int, ...]:
     """rows[u] = mask of every v with a pair (u, v), and of every v with a
     pair (v, u) too when undirected.  The first pair in input order with an
     endpoint outside 0..n-1 raises IndexOutOfRangeError; when undirected, so
-    does a self-loop, with SelfLoopError."""
+    does a self-loop, with SelfLoopError.  A PairText goes to the kernel."""
     if n < 0:
         raise IndexOutOfRangeError("vertex count must be non-negative")
+    if type(pairs) is PairText:
+        return pairs.rows(n, undirected)
     pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
     # bit is a dict, so a vertex outside 0..n-1, negative ones too, raises
     # KeyError instead of wrapping around; the undirected loop looks up both
@@ -122,6 +127,172 @@ def pair_rows(n: int, pairs: Iterable[tuple[int, int]], what: str, *, undirected
         if undirected and u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
     raise TypeError(f"{what} endpoints must be integers")
+
+
+# ---------------------------------------------------------------------------
+# the pair-text kernel: pair text in the exact form the writers above emit is
+# read a chunk at a time, with no Python step per pair; anything else is left
+# to the callers' general readers, which alone raise errors
+
+PAIR_CHUNK = 1 << 16  # characters of pair text split into tokens at once
+MATRIX_ROOM = 4  # bytes of the n*n pair matrix allowed per character of text
+
+
+def bit_matrix_lines(matrix, n: int, transpose: bool = False) -> list[int]:
+    """The rows of an n*n bit matrix as masks, or its columns when
+    transpose.  The matrix is text of "0" and "1" (str or bytes) in reverse
+    order: bit v of row u is at (n-1-u)*n + n-1-v, so a row is a slice and a
+    column the slice [k::n], each written highest bit first for int(..., 2)."""
+    a, b = (1, n) if transpose else (n, 1)
+    return [int(matrix[k * a:k * a + n * b:b], 2) for k in range(n)][::-1]
+
+
+def _read_pairs(n: int, chunks: Iterable, head: str, tail: str, undirected: bool):
+    """(rows, pair count) for the pairs of tokens (head.format(u),
+    tail.format(v)) that the chunks yield as (heads, tails) lists.  Each
+    pair sets a "1" in a bit matrix laid out for bit_matrix_lines, a head
+    naming its row as a memoryview and a tail its column; rows are row |
+    column when undirected.  None when a chunk is None, a token names no
+    vertex below n, or an undirected pair is a self-loop."""
+    matrix = bytearray(b"0" * (n * n))
+    lines = memoryview(matrix)
+    # row u starts at (n-1-u)*n and column v sits n-1-v into each row
+    heads = dict(zip(map(head.format, range(n)), (lines[k:k + n] for k in reversed(range(0, n * n, n or 1)))))
+    tails = dict(zip(map(tail.format, range(n)), reversed(range(n))))
+    count = 0
+    for chunk in chunks:
+        if chunk is None:
+            return None
+        us, vs = chunk
+        try:
+            any(map(setitem, map(heads.__getitem__, us), map(tails.__getitem__, vs), repeat(ord("1"))))
+        except KeyError:
+            return None
+        count += len(us)
+    if not undirected:
+        return tuple(bit_matrix_lines(matrix, n)), count
+    if matrix[::n + 1].count(b"1"):
+        return None
+    return tuple(map(or_, bit_matrix_lines(matrix, n), bit_matrix_lines(matrix, n, True))), count
+
+
+def _edge_line_chunks(text: str, lo: int) -> Iterator:
+    """(u names, v names) of the `e u v` lines from lo to the end of text, a
+    chunk of whole lines at a time; None for a chunk that is not exactly
+    such lines.  A chunk and an extra "e", split at spaces, reads
+    e, u, "v\ne", u, "v\ne", ... with every token known."""
+    end = len(text)
+    while lo < end:
+        hi = end if end - lo <= PAIR_CHUNK else text.rfind("\n", lo, lo + PAIR_CHUNK) + 1
+        tokens = (text[lo:hi] + "e").split(" ")
+        if hi <= lo or not len(tokens) & 1 or tokens[0] != "e":
+            yield None
+            return
+        yield tokens[1::2], tokens[2::2]
+        lo = hi
+
+
+def _json_pair_chunks(text: str) -> Iterator:
+    """(u names, v names) of a JSON pair list written `[[u, v], [u, v]]`, a
+    chunk of whole pairs at a time; None for a chunk in any other form.  A
+    chunk ending in "], ", split at spaces, reads "[u,", "v],", ..., ""."""
+    lo, end = 1, len(text) - 1
+    while lo < end:
+        hi = end if end - lo <= PAIR_CHUNK else text.rfind("], ", lo, lo + PAIR_CHUNK) + 3
+        tokens = (text[lo:hi] + (", " if hi == end else "")).split(" ")
+        if hi <= lo or tokens.pop() != "" or len(tokens) & 1:
+            yield None
+            return
+        yield tokens[0::2], tokens[1::2]
+        lo = hi
+
+
+def _read_edge_list(text: str) -> Graph | None:
+    """The graph of an edge list in the exact form serialize_graph writes,
+    or None for any other text, errors included."""
+    head = text.find("\n")
+    try:
+        p, n, m = text[:head].split(" ") if head >= 0 else ()
+        if p != "p" or n != str(int(n)) or m != str(int(m)):
+            return None
+    except ValueError:
+        return None
+    n = int(n)
+    if n < 0 or n * n > MATRIX_ROOM * len(text):
+        return None
+    read = _read_pairs(n, _edge_line_chunks(text, head + 1), "{}", "{}\ne", undirected=True)
+    return Graph(n, read[0]) if read is not None and read[1] == int(m) else None
+
+
+class PairText:
+    """A JSON pair list cut out of a document, in the text the writers emit;
+    pair_rows reads it with the kernel, or raises _Declined."""
+
+    __slots__ = ("text", "room", "read")
+
+    def __init__(self, text: str, room: int):
+        self.text, self.room, self.read = text, room, False
+
+    def rows(self, n: int, undirected: bool) -> tuple[int, ...]:
+        read = None
+        if n * n <= self.room:
+            read = _read_pairs(n, _json_pair_chunks(self.text), "[{},", "{}],", undirected)
+        if read is None:
+            raise _Declined
+        self.read = True
+        return read[0]
+
+
+class _Declined(Exception):
+    """The kernel cannot read a pair list: read the whole document again."""
+
+
+def read_pair_json(text: str, read):
+    """read(value) of a JSON document given as text.  It runs first with
+    value the decoded skeleton of the text: the "edges" and "arcs" lists are
+    cut out, which inverts splice_json, and a PairText stands in the place of
+    each, which the kernel reads when read() builds from it.  The cut counts
+    only if json.dumps writes the skeleton back as the text it was decoded
+    from, with a HOLE where each list was and nowhere else.  With no such
+    cut, or if read() raises or leaves a list unread, read() runs again with
+    value the text itself, so errors come only from the general reader."""
+    pieces, spans = [], []
+    at = 0
+    for key in re.finditer(r'"(?:arcs|edges)": \[', text):
+        lo = key.end() - 1
+        hi = lo + 2 if text.startswith("[]", lo) else text.find("]]", lo) + 2
+        if lo < at or hi < lo + 2:
+            return read(text)
+        pieces.append(text[at:lo])
+        spans.append(PairText(text[lo:hi], MATRIX_ROOM * len(text)))
+        at = hi
+    pieces.append(text[at:])
+    hole = json.dumps(HOLE)
+    cut = hole.join(pieces)
+    if not spans or cut.count(hole) != len(spans):
+        return read(text)
+    try:
+        skeleton = json.loads(cut)
+        canonical = json.dumps(skeleton, sort_keys=True) == cut
+    except (ValueError, RecursionError):
+        canonical = False
+    if not canonical:
+        return read(text)
+    # fill the holes in the order json.dumps wrote them: keys sorted, lists in order
+    fill = iter(spans)
+    todo = [([skeleton], 0)]
+    while todo:
+        parent, key = todo.pop()
+        x = parent[key]
+        if x == HOLE:
+            parent[key] = next(fill)
+        elif type(x) in (dict, list):
+            todo.extend((x, k) for k in reversed(sorted(x) if type(x) is dict else range(len(x))))
+    try:
+        out = read(skeleton)
+    except (CCWidthError, _Declined):
+        return read(text)
+    return out if all(span.read for span in spans) else read(text)
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -233,7 +404,9 @@ def is_lists(x) -> bool:
 
 
 def is_pairs(x) -> bool:
-    return is_lists(x) and set(map(len, x)) <= {2}
+    """A list of pairs of counts, or a PairText, which the kernel checks
+    when it reads it."""
+    return type(x) is PairText or is_lists(x) and set(map(len, x)) <= {2}
 
 
 def load_json(value, what: str, /, **shapes) -> dict:
@@ -256,71 +429,26 @@ def load_json(value, what: str, /, **shapes) -> dict:
 
 def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
     if fmt == "json":
-        obj = load_json(text, "graph", n=is_count, edges=is_pairs)
-        return build_graph(obj["n"], obj["edges"])
+        return read_pair_json(text, _graph_from_json)
     if fmt == "edge-list":
         return _parse_edge_list(text)
     raise ParseError(f"unknown graph format {fmt!r}")
 
 
-def _parse_canonical_edge_list(lines: list[str]) -> Graph | None:
-    """The graph of an edge list in the form serialize_graph writes: the
-    header on the first line, then only `e u v` lines, as many as the header
-    declares.  None for anything else, which includes every error.
-
-    The bit table is keyed by each vertex's decimal name, so an endpoint is
-    found without an int() call, and an endpoint written any other way
-    (`01`, `+1`) or out of range (`-1`, `n`) misses it and the rows table.
-    It starts with the vertices below k, whose k^2 / 2 bits come to at most
-    4 bytes per line, and gains the block of any other vertex on its first
-    miss, so a large n in the header alone costs no more.  It is made
-    before the rows table: the line loop measured ~3% slower with the two
-    made the other way round.  The tables live in this frame, so they are
-    freed before the caller's line loop runs."""
-    try:
-        p, n, m = lines[0].split()
-        n, m = int(n), int(m)
-        if p != "p" or n < 0 or m != len(lines) - 1:
-            return None
-        k = min(n, isqrt(64 * len(lines)))
-        bit = dict(zip(map(str, range(k)), map((1).__lshift__, range(k))))
-        rows = dict.fromkeys(map(str, range(n)), 0)
-        rest = todo = islice(lines, 1, None)
-        while True:
-            try:
-                for line in todo:
-                    e, u, v = line.split()
-                    if e != "e":
-                        return None
-                    rows[u] |= bit[v]
-                    rows[v] |= bit[u]
-            except KeyError as exc:
-                if exc.args[0] not in rows:
-                    return None
-                bit.update(_bit_block(int(exc.args[0]), n, str))
-                todo = (line,)
-            else:
-                if todo is rest:
-                    break
-                todo = rest
-    except (IndexError, ValueError):
-        return None
-    adj = tuple(rows.values())
-    if any(a >> v & 1 for v, a in enumerate(adj)):
-        return None  # a self-loop
-    return Graph(n, adj)
+def _graph_from_json(value) -> Graph:
+    obj = load_json(value, "graph", n=is_count, edges=is_pairs)
+    return build_graph(obj["n"], obj["edges"])
 
 
 def _parse_edge_list(text: str) -> Graph:
-    lines = text.splitlines()
-    g = _parse_canonical_edge_list(lines)
+    g = _read_edge_list(text)
     if g is not None:
         return g
     # comments, blank lines, other numerals, and every error: one step per line
     n = None
     m_declared = None
     pairs = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

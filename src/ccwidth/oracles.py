@@ -23,6 +23,7 @@ from .covers import OrderedCliqueCover, part_masks, quotient_masks
 from .errors import CertificateExtractionError, InvalidArgumentError, ParseError
 from .graphs import (
     Graph,
+    bit_matrix_lines,
     bits,
     complement,
     components,
@@ -33,6 +34,7 @@ from .graphs import (
     load_json,
     mask_of,
     pair_rows,
+    read_pair_json,
     row_pairs,
     selector,
 )
@@ -83,10 +85,10 @@ class Orientation:
 
     def pred(self) -> list[int]:
         """pred[v] = bitmask of the tails of the arcs entering v: column v of
-        the succ bit matrix, with the rows written as bit strings from the
-        last row to the first, so row u lands on bit u."""
-        rows = [format(m, f"0{self.n}b") for m in reversed(self.succ)]
-        return [int("".join(col), 2) for col in zip(*rows)][::-1]
+        the succ matrix, whose rows are written as bit strings from the last
+        to the first."""
+        n = self.n
+        return bit_matrix_lines("".join(map(f"{{:0{n}b}}".format, reversed(self.succ))), n, transpose=True)
 
     def underlying(self) -> Graph:
         return Graph(self.n, tuple(s | p for s, p in zip(self.succ, self.pred())))
@@ -119,7 +121,11 @@ def orientation_from_json(text: str, g: Graph) -> Orientation:
     of g points from its earlier end to its later one.  An "arcs" file
     lists the arcs.  A malformed file raises ParseError; an order file for
     another vertex count than g's raises CertificateExtractionError."""
-    obj = load_json(text, "orientation", n=is_count)
+    return read_pair_json(text, lambda value: _orientation(value, g))
+
+
+def _orientation(value, g: Graph) -> Orientation:
+    obj = load_json(value, "orientation", n=is_count)
     if "order" not in obj:
         return Orientation.from_arcs(obj["n"], load_json(obj, "orientation", arcs=is_pairs)["arcs"])
     n, order = obj["n"], obj["order"]

@@ -191,6 +191,20 @@ def test_decompose_auto_uses_the_greedy_cover_on_a_40_vertex_poset(capsys, tmp_p
     assert all(c["passed"] for c in report["results"]["verification"])
 
 
+def test_decompose_auto_does_not_recheck_the_recognized_orientation(capsys, tmp_path, monkeypatch):
+    from ccwidth import incomparability, random_poset_graph
+
+    calls = []
+    real = incomparability.verify_transitive
+    monkeypatch.setattr(incomparability, "verify_transitive", lambda o: calls.append(o) or real(o))
+    g, _ = random_poset_graph(40, 0.1, 1)
+    path = tmp_path / "poset.graph"
+    path.write_text(serialize_graph(g))
+    code, report = run(capsys, ["--out", str(tmp_path), "decompose", str(path), "--auto", "--verify"])
+    assert code == 0 and report["results"]["cover_source"] == "greedy"
+    assert calls == []  # the recognizer's orientation is transitive by construction
+
+
 def test_greedy_rejects_a_c5_component_beside_a_75_vertex_poset(capsys, tmp_path):
     from ccwidth import build_graph, random_poset_graph
 

@@ -1,6 +1,6 @@
-"""Differential tests of the mask <-> pair converters, the edge-list reader
-and the ordered-cover enumeration against the code they replaced, which is
-kept below verbatim as the reference.
+"""Differential tests of the mask <-> pair converters, the edge-list reader,
+the JSON pair-list readers and the ordered-cover enumeration against the
+code they replaced, which is kept below verbatim as the reference.
 
 Graphs reach 70 vertices, so rows cross the 64-bit word; orientations
 include loops and non-transitive arc sets.  Text outputs must match byte for
@@ -12,7 +12,9 @@ orientation must come back from the order text.
 
 import json
 import random
+import re
 import tracemalloc
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -20,10 +22,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccwidth import Orientation, build_graph, complement, decompose, verify_transitive
-from ccwidth.covers import OrderedCliqueCover, trivial_cover
-from ccwidth.decompose import decomposition_from_json, decomposition_to_json
+from ccwidth import graphs as kernel
+from ccwidth.covers import OrderedCliqueCover, make_cover, trivial_cover
+from ccwidth.decompose import (
+    Decomposition,
+    Factor,
+    _decomposition,
+    _lists_or_none,
+    decomposition_from_json,
+    decomposition_to_json,
+)
 from ccwidth.errors import CyclicOrientationError, IndexOutOfRangeError, ParseError, SelfLoopError
-from ccwidth.graphs import Graph, bits, parse_graph, serialize_graph
+from ccwidth.graphs import (
+    Graph,
+    bits,
+    is_count,
+    is_lists,
+    is_pairs,
+    load_json,
+    parse_graph,
+    read_pair_json,
+    serialize_graph,
+)
 from ccwidth.incomparability import greedy_layered_cover, random_poset_graph
 from ccwidth.oracles import (
     _cliques_containing,
@@ -175,6 +195,35 @@ def ref_parse_edge_list(text):
     if m_declared is not None and m_declared != len(pairs):
         raise ParseError(f"header declares {m_declared} edges, found {len(pairs)}")
     return ref_build_graph(n, pairs)
+
+
+def ref_parse_json_graph(text):
+    obj = load_json(text, "graph", n=is_count, edges=is_pairs)
+    return build_graph(obj["n"], obj["edges"])
+
+
+def ref_orientation_from_arcs_json(text):
+    """The arcs branch of orientation_from_json, which reads json.loads(text)."""
+    obj = load_json(text, "orientation", n=is_count)
+    return Orientation.from_arcs(obj["n"], load_json(obj, "orientation", arcs=is_pairs)["arcs"])
+
+
+def ref_decomposition_from_json(text):
+    obj = load_json(text, "decomposition", cover=is_lists, factors=lambda x: type(x) is list)
+    factors = []
+    for fo in obj["factors"]:
+        fo = load_json(
+            fo, "factor", kind=lambda x: type(x) is str, bipartition=_lists_or_none, blocks=_lists_or_none
+        )
+        go = load_json(fo.get("graph"), "factor graph", n=is_count, edges=is_pairs)
+        ori = None
+        if fo.get("orientation"):
+            oo = load_json(fo["orientation"], "factor orientation", n=is_count, arcs=is_pairs)
+            ori = Orientation.from_arcs(oo["n"], oo["arcs"])
+        bip = tuple(tuple(s) for s in fo["bipartition"]) if fo.get("bipartition") else None
+        blocks = make_cover(fo["blocks"]) if fo.get("blocks") is not None else None
+        factors.append(Factor(build_graph(go["n"], go["edges"]), fo["kind"], bip, ori, blocks))
+    return Decomposition(make_cover(obj["cover"]), tuple(factors))
 
 
 def ref_orientation_to_json(o):
@@ -503,6 +552,255 @@ def test_readers_peak_memory_follows_the_vertices_named_not_the_header(read):
     finally:
         tracemalloc.stop()
     assert peak < 10_000_000, peak
+
+
+# ---------------------------------------------------------------------------
+# the pair-text kernel: the same result, or the same error, at any chunk size
+
+
+@contextmanager
+def pair_chunk(size):
+    """Run the pair-text kernel with chunks of at most size characters."""
+    saved = kernel.PAIR_CHUNK
+    kernel.PAIR_CHUNK = size
+    try:
+        yield
+    finally:
+        kernel.PAIR_CHUNK = saved
+
+
+CHUNKS = (1, 8, 16, 37, 64, 1 << 16)
+
+
+def outcome_of(read, *args):
+    try:
+        return read(*args)
+    except Exception as exc:  # any error must be the reference's, type and message
+        return type(exc), str(exc)
+
+
+def test_bit_matrix_lines_read_rows_and_columns():
+    matrix = "101" "000" "110"  # rows 0b110, 0b000, 0b101, last row first
+    assert kernel.bit_matrix_lines(matrix, 3) == [0b110, 0b000, 0b101]
+    assert kernel.bit_matrix_lines(matrix, 3, transpose=True) == [0b100, 0b001, 0b101]
+    assert kernel.bit_matrix_lines(matrix.encode(), 3) == [0b110, 0b000, 0b101]
+    assert kernel.bit_matrix_lines("", 0) == [] == kernel.bit_matrix_lines(b"", 0, transpose=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_graphs(), st.sampled_from(CHUNKS[2:]))
+@example(WIDE_GRAPH, 16)
+def test_canonical_edge_lists_are_read_by_the_kernel_at_any_chunk_size(g, size):
+    # every chunk size that holds the longest line: the kernel reads the
+    # text itself, so the differential tests below do not only test the
+    # line-by-line fallback
+    text = serialize_graph(g)
+    with pair_chunk(max(size, 2 * len(str(g.n)) + 4)):
+        assert kernel._read_edge_list(text) == g or g.n * g.n > kernel.MATRIX_ROOM * len(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_graphs(), st.data())
+def test_edge_list_reader_matches_the_reference_at_any_chunk_size(g, data):
+    lines = serialize_graph(g).splitlines()
+    edits = data.draw(st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6)), max_size=3))
+    for kind, i in edits:
+        lines = mutate(lines, kind, i, g.n)
+    text = "\n".join(lines) + data.draw(st.sampled_from(("", "\n")))
+    with pair_chunk(data.draw(st.sampled_from(CHUNKS))):
+        assert read(parse_graph, text) == read(ref_parse_edge_list, text)
+
+
+PAIR = re.compile(r"\[(\d+), (\d+)\]")
+NUMBER = re.compile(r"-?\d+")
+JSON_MUTATIONS = (
+    "reorder spaces newline reverse duplicate swap out_of_range negative loop "
+    "float true minus_zero triple single nul_kind extra truncate"
+).split()
+
+
+def mutate_json(text, kind, i, n):
+    """text with one edit of the given kind at (or near) the i-th match."""
+    pairs = list(PAIR.finditer(text))
+    numbers = list(NUMBER.finditer(text))
+    pair = pairs[i % len(pairs)] if pairs else None
+    number = numbers[i % len(numbers)] if numbers else None
+    if kind == "reorder":
+        def backwards(obj):
+            if type(obj) is dict:
+                return {k: backwards(obj[k]) for k in sorted(obj, reverse=True)}
+            return [backwards(x) for x in obj] if type(obj) is list else obj
+        try:
+            return json.dumps(backwards(json.loads(text)))
+        except ValueError:
+            return text
+    if kind == "spaces":
+        at = [m.start() for m in re.finditer(", ", text)]
+        return text if not at else text[:at[i % len(at)]] + ",  " + text[at[i % len(at)] + 2:]
+    if kind == "newline":
+        return text.replace(": ", ":\n", 1 + i % 3)
+    if kind == "truncate":
+        return text[:i % (len(text) + 1)]
+    if kind == "nul_kind":
+        return text.replace('"kind": "co_bipartite"', '"kind": "\\u0000"', 1 + i % 2)
+    if kind == "extra" and text.startswith("{"):
+        # a key the readers ignore, sorted first, holding a pair list that
+        # is well formed or not
+        return '{"aaa": {"edges": ' + ("[[0, 1]]", "[[0, x]]", "[[0, 1], [2]]")[i % 3] + "}, " + text[1:]
+    if number is not None and kind in ("out_of_range", "negative", "float", "true", "minus_zero"):
+        new = {"out_of_range": str(n + i % 3), "negative": f"-{1 + i % 3}", "float": "1.0",
+               "true": "true", "minus_zero": "-0"}[kind]
+        return text[:number.start()] + new + text[number.end():]
+    if pair is None:
+        return text
+    u, v = pair.groups()
+    new = {"reverse": f"[{v}, {u}]", "duplicate": f"[{u}, {v}], [{u}, {v}]", "loop": f"[{u}, {u}]",
+           "triple": f"[{u}, {v}, {u}]", "single": f"[{u}]"}.get(kind)
+    if kind == "swap" and len(pairs) > 1:
+        other = pairs[(i + 1) % len(pairs)]
+        if other.start() > pair.end():
+            return (text[:pair.start()] + other.group() + text[pair.end():other.start()] + pair.group()
+                    + text[other.end():])
+    return text if new is None else text[:pair.start()] + new + text[pair.end():]
+
+
+def mutated_json(data, text, n):
+    edits = data.draw(st.lists(st.tuples(st.sampled_from(JSON_MUTATIONS), st.integers(0, 10**6)), max_size=3))
+    for kind, i in edits:
+        text = mutate_json(text, kind, i, n)
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 40), st.sampled_from((0.02, 0.1, 0.3)), st.integers(0, 2**16), st.data())
+def test_decomposition_reader_matches_the_reference(n, density, seed, data):
+    g, o = random_poset_graph(n, density, seed)
+    cover = data.draw(st.sampled_from((greedy_layered_cover(o).cover, trivial_cover(g))))
+    text = mutated_json(data, decomposition_to_json(decompose(g, cover)), n)
+    with pair_chunk(data.draw(st.sampled_from(CHUNKS))):
+        assert outcome_of(decomposition_from_json, text) == outcome_of(ref_decomposition_from_json, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_graphs(max_n=40), orientations(max_n=40), st.data())
+def test_json_graph_and_arcs_readers_match_the_reference(g, o, data):
+    text = mutated_json(data, serialize_graph(g, "json"), g.n)
+    arcs = mutated_json(data, ref_orientation_to_json(o), o.n)
+    with pair_chunk(data.draw(st.sampled_from(CHUNKS))):
+        assert outcome_of(parse_graph, text, "json") == outcome_of(ref_parse_json_graph, text)
+        assert outcome_of(orientation_from_json, arcs, g) == outcome_of(ref_orientation_from_arcs_json, arcs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 60), st.sampled_from((0.02, 0.1, 0.3)), st.integers(0, 2**16), st.sampled_from(CHUNKS[2:]))
+def test_written_decompositions_are_read_from_their_skeleton(n, density, seed, size):
+    # the pair lists of a file the writer made are read by the kernel: read()
+    # runs once, on the decoded skeleton, never on the whole text
+    g, o = random_poset_graph(n, density, seed)
+    d = decompose(g, greedy_layered_cover(o).cover)
+    text = decomposition_to_json(d)
+    seen = []
+    with pair_chunk(max(size, 2 * len(str(n)) + 6)):
+        assert read_pair_json(text, lambda value: seen.append(type(value)) or _decomposition(value)) == d
+    assert seen == [dict]
+
+
+@pytest.mark.parametrize(
+    "text, least_chunk",
+    [
+        ("p 3 2\ne 0 1\ne 1 2\n", 8),
+        ("p 0 0\n", 1),
+        ("p 3 1\nq 0 1\n", None),
+        ("p 3 1\ne 0 1 \n", None),
+        ("p 3 1\ne  0 1\n", None),
+        ("p 3 1\ne 0 1", None),
+        ("p 3 1\ne 0 1\n\n", None),
+        ("p 3 1\ne 1 1\n", None),
+        ("p 3 2\ne 0 1\n", None),
+        ("p 3 2\ne 0 1 e 1 2\n", None),
+        ("p 03 1\ne 0 1\n", None),
+        ("p 3 1 \ne 0 1\n", None),
+        ("p 3 1\ne 0 3\n", None),
+        ("p 3 1\ne 0 -1\n", None),
+        ("p 3 1\ne 0 1\r\n", None),
+        ("p 3 1\ne 0 1\x0b", None),
+    ],
+)
+def test_edge_list_kernel_reads_only_the_writers_form(text, least_chunk):
+    # the kernel reads the text at every chunk size from least_chunk on (None:
+    # never), and the result is the reference's either way
+    for size in CHUNKS:
+        with pair_chunk(size):
+            assert (kernel._read_edge_list(text) is not None) == (least_chunk is not None and size >= least_chunk)
+            assert read(parse_graph, text) == read(ref_parse_edge_list, text)
+
+
+@pytest.mark.parametrize(
+    "text, least_chunk",
+    [
+        ('{"edges": [[0, 1], [1, 2]], "n": 3}', 8),
+        ('{"edges": [], "n": 3}', 1),
+        ('{"edges": [[0, 1],[1, 2]], "n": 3}', None),
+        ('{"edges": [[0, 1], [2]], "n": 3}', None),
+        ('{"edges": [[0, 1], [1, 2, 0]], "n": 3}', None),
+        ('{"edges": [[0, 1], [1, 1]], "n": 3}', None),
+        ('{"edges": [[0, 1], [1, 3]], "n": 3}', None),
+        ('{"edges": [[0, 1], [01, 2]], "n": 3}', None),
+        ('{"edges": [[0, 1], [1, 2]], "n": 3, "x": {"arcs": [[0, 1]]}}', None),
+        ('{"edges": [[0, 1]], "n": 3, "x": "\\u0000"}', None),
+        ('{"n": 3, "edges": [[0, 1], [1, 2]]}', None),
+        ('{"edges": [[0, 1], [1, 2]], "n": 3}\n', None),
+    ],
+)
+def test_json_kernel_reads_only_the_writers_form(text, least_chunk):
+    for size in CHUNKS:
+        seen = []
+        with pair_chunk(size):
+            assert outcome_of(parse_graph, text, "json") == outcome_of(ref_parse_json_graph, text)
+            outcome_of(read_pair_json, text, lambda value: seen.append(type(value)) or ref_parse_json_graph(value))
+        assert (seen == [dict]) == (least_chunk is not None and size >= least_chunk), seen
+
+
+def test_json_readers_raise_the_general_readers_error_first():
+    # the terminal factor's edges hold a three-element pair, and its
+    # orientation a bad n: the general reader meets the edges first, while
+    # the kernel only meets them after the orientation
+    g, o = random_poset_graph(7, 0.3, 1)
+    text = decomposition_to_json(decompose(g, greedy_layered_cover(o).cover))
+    terminal = text.rindex('"graph": {"edges": [[') + len('"graph": {"edges": [[')
+    text = text[:terminal] + "0, 0, " + text[terminal:]
+    text = re.sub(r'("orientation": \{"arcs": \[[^]]*(\][^]]*)*\], "n": )7', r"\g<1>-1", text)
+    assert "-1" in text
+    assert outcome_of(decomposition_from_json, text) == outcome_of(ref_decomposition_from_json, text)
+    assert "'edges'" in str(outcome_of(decomposition_from_json, text))
+
+
+@pytest.mark.parametrize("key", ["edges", "arcs"])
+def test_canonical_json_with_a_large_n_and_no_pairs_stays_small(key):
+    # the pair matrix of n = 5000 would take 25 MB for a 25-byte text
+    text = json.dumps({key: [], "n": 5000}, sort_keys=True)
+    read = {"edges": lambda: parse_graph(text, "json"), "arcs": lambda: orientation_from_json(text, Graph(0, ()))}
+    tracemalloc.start()
+    try:
+        read[key]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
+
+
+def test_decomposition_reader_peak_memory_stays_under_ten_times_the_text():
+    # an n = 160 decomposition with its greedy cover, about 2 MB of text
+    g, o = random_poset_graph(160, 0.05, 7)
+    text = decomposition_to_json(decompose(g, greedy_layered_cover(o).cover))
+    tracemalloc.start()
+    try:
+        d = decomposition_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(d.factors) > 10 and len(text) > 1_000_000
+    assert peak < 10 * len(text), (peak, len(text))
 
 
 # ---------------------------------------------------------------------------

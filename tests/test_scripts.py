@@ -17,3 +17,18 @@ def test_greedy_vs_exact_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "graphs, n=9" in proc.stdout
+
+
+def test_run_acceptance_script_runs_one_criterion_from_a_source_checkout():
+    # no PYTHONPATH: the script must find the package under src/ itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_acceptance.py"), "-k", "criterion_1_"],
+        env=env,
+        cwd=ROOT / "tests",
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "ACCEPTANCE 1: PASS" in proc.stdout
