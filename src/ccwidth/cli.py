@@ -21,9 +21,8 @@ from . import generators
 from .covers import (
     cover_from_json,
     cover_to_json,
-    cover_width,
     trivial_cover,
-    validate_cover,
+    validated_width,
 )
 from .decompose import (
     decompose,
@@ -42,7 +41,7 @@ from .errors import (
     ParseError,
     SelfLoopError,
 )
-from .graphs import complement, components, parse_graph, serialize_graph
+from .graphs import DOT_PAIR, RowText, complement, components, parse_graph, serialize_graph
 from .incomparability import approximate_ccw, greedy_layered_cover
 from .limits import CCW_LIMITS, SearchLimits
 from .oracles import (
@@ -70,7 +69,7 @@ def _read_input(path: str) -> str:
     except UnicodeDecodeError as exc:
         where = "stdin" if path == "-" else path
         raise ParseError(f"{where} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _load_graph(args, report: dict):
@@ -159,18 +158,18 @@ def cmd_decompose(args, report):
         how = "file"
     else:
         cover, how = _auto_cover(g)
-    rep = validate_cover(g, cover)
+    rep, width = validated_width(g, cover)
     if rep.out_of_range:
         raise IndexOutOfRangeError(f"cover lists vertices outside 0..{g.n - 1}: {list(rep.out_of_range)}")
     if not rep.valid:
         raise InvalidCoverError(f"cover does not cover the graph: {rep}")
-    width = cover_width(g, cover, checked=False)
     d = decompose(g, cover, width)
     path = _write_witness(args, "decomposition.json", decomposition_to_json(d))
     witnesses = {"decomposition": path}
+    dot_rows = RowText(g.n, *DOT_PAIR)  # the factors are near complete: cut each from K_n's rows
     for i, f in enumerate(d.factors):
         witnesses[f"factor_{i}"] = _write_witness(
-            args, f"factor_{i}.dot", serialize_graph(f.graph, "dot")
+            args, f"factor_{i}.dot", serialize_graph(f.graph, "dot", table=dot_rows)
         )
     report["results"] = {"cover_source": how, "width": width, "factor_count": len(d.factors)}
     if width == 0:

@@ -105,8 +105,14 @@ def _non_adjacent_pair(g: Graph, part) -> tuple[int, int] | None:
 
 
 def validate_cover(g: Graph, cover: OrderedCliqueCover) -> CoverReport:
-    pms, _, valid, _ = part_masks(g, cover.parts)
-    return CoverReport((), (), ()) if valid else _report(g, cover.parts, pms)
+    return validated_width(g, cover)[0]
+
+
+def validated_width(g: Graph, cover: OrderedCliqueCover) -> tuple[CoverReport, int]:
+    """validate_cover's report and, when it is valid, cover_width's width,
+    from one part_masks pass."""
+    pms, _, valid, width = part_masks(g, cover.parts)
+    return (CoverReport((), (), ()) if valid else _report(g, cover.parts, pms)), width
 
 
 def _checked_masks(g: Graph, cover: OrderedCliqueCover, checked: bool) -> tuple[list[int], list[int], int]:

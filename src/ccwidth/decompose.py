@@ -24,7 +24,7 @@ from .graphs import (
     is_pairs,
     load_json,
     mask_of,
-    pairs_json,
+    pair_lists,
     read_pair_json,
     splice_json,
 )
@@ -236,7 +236,7 @@ def verify_decomposition(g: Graph, d: Decomposition) -> DecompositionReport:
 
 def decomposition_to_json(d: Decomposition) -> str:
     factors = []
-    pair_lists = []  # in the order their holes appear: sorted keys put "graph" before "orientation"
+    rows = []  # of each pair list, in the order their holes appear: sorted keys put "graph" before "orientation"
     for f in d.factors:
         factors.append(
             {
@@ -247,10 +247,10 @@ def decomposition_to_json(d: Decomposition) -> str:
                 "blocks": f.blocks.parts if f.blocks else None,
             }
         )
-        pair_lists.append(pairs_json(f.graph.upper()))
+        rows.append(f.graph.upper())
         if f.orientation:
-            pair_lists.append(pairs_json(f.orientation.succ))
-    return splice_json({"cover": d.source_cover.parts, "factors": factors}, pair_lists)
+            rows.append(f.orientation.succ)
+    return splice_json({"cover": d.source_cover.parts, "factors": factors}, pair_lists(rows))
 
 
 def _lists_or_none(x) -> bool:

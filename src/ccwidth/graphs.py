@@ -6,7 +6,9 @@ vertices, edge-set intersection across graphs) down to single integer ops.
 Pair lists and their text are read off the rows with C-level iteration over
 each row's bit string (`selector`), not with a Python step per pair.  Pair
 text is read back the same way: a chunk at a time into an n*n byte matrix,
-whose rows and columns become the masks (`bit_matrix_lines`).
+whose rows and columns become the masks (`bit_matrix_lines`).  Near-complete
+pair lists skip both: their rows are cut out of, and matched against, the
+text of K_n's rows (`RowText`), with Python steps per run of missing pairs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import or_, setitem
 from typing import Iterable, Iterator, Sequence
 
@@ -45,19 +47,153 @@ def row_pairs(rows: Sequence[int]) -> list[tuple[int, int]]:
     return list(chain.from_iterable(zip(repeat(u), compress(vs, selector(m))) for u, m in enumerate(rows)))
 
 
-def pairs_text(rows: Sequence[int], head: str, tail: str, sep: str = "") -> str:
-    """head.format(u) + tail.format(v) for every pair (u, v) with bit v set
-    in rows[u], sorted and joined by sep, with no (u, v) tuple made."""
-    vs = range(len(rows))
-    tails = [tail.format(v) for v in vs]
-    return sep.join(
-        h + (sep + h).join(compress(tails, selector(m))) for h, m in zip(map(head.format, vs), rows) if m
-    )
+# ---------------------------------------------------------------------------
+# pair text of rows: a pair (u, v) is written head.format(u) + tail.format(v)
+# and pairs are sorted and joined by a separator
+
+JSON_PAIR = ("[{}, ", "{}]", ", ")  # the pairs of a JSON pair list, inside its brackets
+EDGE_PAIR = ("e {} ", "{}\n", "")  # the edge lines of an edge list
+DOT_PAIR = ("  {} -- ", "{};\n", "")  # the edge lines of a DOT graph
+
+# near-complete: a row missing at most 1/DENSE of its pairs, a list with at least 1 - 1/DENSE of K_n's text
+DENSE = 24
 
 
-def pairs_json(rows: Sequence[int]) -> str:
-    """The JSON text json.dumps writes for row_pairs(rows)."""
-    return "[" + pairs_text(rows, "[{}, ", "{}]", ", ") + "]"
+class RowText:
+    """Pair text on n vertices in one template, and the text of K_n's rows
+    in it: row u holds the pairs (u, v) for every v > u.  A row's text is
+    made when first used and, if keep, kept, so one table serves every list
+    of a document or command; a table for one list keeps none, which holds
+    its memory to one row of K_n.  A near-complete row is written as cuts
+    of its complete row, and read back by matching it against that row,
+    with Python steps per run of missing pairs instead of per pair."""
+
+    def __init__(self, n: int, head: str, tail: str, sep: str = "", keep: bool = True):
+        self.n, self.sep, self.keep = n, sep, keep
+        self.heads = list(map(head.format, range(n)))
+        self.tails = list(map(tail.format, range(n)))
+        self.head_open, self.head_close = head.split("{}")
+        self.tail_close = tail.split("{}")[1]
+        self.tail_at = list(accumulate(map(len, self.tails), initial=0))  # text of the tails below v
+        self.rows: list[tuple[str, list[int], int] | None] = [None] * n
+        self.ends: dict[int, list[int]] = {}
+
+    def _row(self, u: int) -> tuple[str, list[int], int]:
+        """Row u of K_n's text, ends and base: the pair (u, v) ends at
+        ends[v + 1] - base in it, and the next pair starts len(sep) later.
+        Kept in rows[u] if keep."""
+        h, ls = self.heads[u], len(self.sep)
+        step = len(h) + ls
+        ends = self.ends.get(step)
+        if ends is None:
+            ends = self.ends[step] = [x * step + a - ls for x, a in enumerate(self.tail_at)]
+        made = (h + (self.sep + h).join(self.tails[u + 1:]), ends, ends[u + 1] + ls)
+        if self.keep:
+            self.rows[u] = made
+        return made
+
+    def text(self, rows: Sequence[int]) -> str:
+        """The text of every pair (u, v) with bit v set in rows[u], sorted,
+        with no (u, v) tuple made: a row is its selected tails joined with
+        its head, or, when at most 1/DENSE of the pairs above u are
+        missing, the slices of its complete row between them."""
+        n, sep, heads, tails, made = self.n, self.sep, self.heads, self.tails, self.rows
+        full = (1 << n) - 1
+        out = []  # runs of pairs, joined by sep within rows as between them
+        for u, m in enumerate(rows):
+            if not m:
+                continue
+            low = (2 << u) - 1
+            gaps = full & ~low & ~m
+            if m & low or m > full or gaps.bit_count() * DENSE > n - u - 1:
+                h = heads[u]
+                out.append(h + (sep + h).join(compress(tails, selector(m))))
+                continue
+            row, ends, base = made[u] or self._row(u)
+            at = 0  # start of the first pair after the last gap
+            while gaps:
+                bit = gaps & -gaps
+                v = bit.bit_length() - 1
+                gaps ^= bit
+                if ends[v] - base > at:
+                    out.append(row[at:ends[v] - base])
+                at = ends[v + 1] - base + len(sep)
+            if at < len(row):
+                out.append(row[at:])
+        return sep.join(out)
+
+    def read(self, text: str, lo: int, hi: int) -> list[int] | None:
+        """The rows, above the diagonal, whose text is text[lo:hi], or None
+        if text[lo:hi] is not text that self.text writes.  The pair at p is
+        read as tokens; then bisection over the complete row finds the
+        longest run of its pairs that text[p:] starts with, and the next
+        pair's tokens, after a separator, give the next run.  Rows must
+        ascend, and tails ascend above u."""
+        n, sep, ls = self.n, self.sep, len(self.sep)
+        head_of = dict(zip(self.heads, range(n)))
+        tail_of = dict(zip(self.tails, range(n)))
+        skip, head_close, tail_close = len(self.head_open), self.head_close, self.tail_close
+        startswith, find, made = text.startswith, text.find, self.rows
+        rows = [0] * n
+        u = least = -1  # the row read, and the least tail its next pair may have
+        p = lo
+        while p < hi:
+            q = find(head_close, p + skip, hi) + len(head_close)
+            head = head_of.get(text[p:q])
+            v = tail_of.get(text[q:find(tail_close, q, hi) + len(tail_close)])
+            if head is None or v is None or head < u:
+                return None
+            if head > u:
+                u, least = head, head + 1
+                row, ends, base = made[u] or self._row(u)
+            if v < least:
+                return None
+            at = ends[v] + ls - base
+            if startswith(row[at:], p):
+                y = n - 1
+            else:
+                y, top = v, n - 2  # text[p:] starts with pairs v..y, not with v..top + 1
+                while y < top:
+                    mid = (y + top + 1) >> 1
+                    if startswith(row[at:ends[mid + 1] - base], p):
+                        y = mid
+                    else:
+                        top = mid - 1
+            p += ends[y + 1] - base - at
+            rows[u] |= (2 << y) - (1 << v)
+            least = y + 1
+            if p < hi:
+                p += ls
+                if p >= hi or not startswith(sep, p - ls):
+                    return None
+        return rows if p == hi else None
+
+
+def _near_complete(n: int, length: int, head: str, tail: str, sep: str) -> bool:
+    """Whether pair text of this length on n vertices is at least 1 - 1/DENSE
+    of K_n's in that template, whose length needs only n."""
+    pairs = n * (n - 1) // 2
+    digits = len("".join(map(str, range(n))))  # each vertex is in n - 1 pairs
+    full = (n - 1) * digits + pairs * (len(head) + len(tail) - 4 + len(sep)) - len(sep)
+    return pairs > 0 and DENSE * length >= (DENSE - 1) * full
+
+
+def transpose(rows: Sequence[int]) -> list[int]:
+    """The columns of the square bit matrix with these rows: bit u of
+    column v is bit v of rows[u]."""
+    n = len(rows)
+    return bit_matrix_lines("".join(map(f"{{:0{n}b}}".format, reversed(rows))), n, transpose=True)
+
+
+def pair_lists(row_sets: Iterable[Sequence[int]]) -> list[str]:
+    """The JSON text json.dumps writes for row_pairs(rows), for each rows of
+    row_sets; lists on the same number of vertices share one RowText."""
+    tables: dict[int, RowText] = {}
+    out = []
+    for rows in row_sets:
+        table = tables.get(len(rows)) or tables.setdefault(len(rows), RowText(len(rows), *JSON_PAIR))
+        out.append("[" + table.text(rows) + "]")
+    return out
 
 
 HOLE = "\0"
@@ -220,23 +356,35 @@ def _read_edge_list(text: str) -> Graph | None:
     n = int(n)
     if n < 0 or n * n > MATRIX_ROOM * len(text):
         return None
+    if _near_complete(n, len(text) - head - 1, *EDGE_PAIR):
+        upper = RowText(n, *EDGE_PAIR, keep=False).read(text, head + 1, len(text))
+        if upper is not None:
+            return Graph(n, tuple(map(or_, upper, transpose(upper)))) if sum(map(int.bit_count, upper)) == int(m) else None
     read = _read_pairs(n, _edge_line_chunks(text, head + 1), "{}", "{}\ne", undirected=True)
     return Graph(n, read[0]) if read is not None and read[1] == int(m) else None
 
 
 class PairText:
     """A JSON pair list cut out of a document, in the text the writers emit;
-    pair_rows reads it with the kernel, or raises _Declined."""
+    pair_rows reads it with the kernel, or raises _Declined.  A near-complete
+    undirected list is matched against K_n's rows instead, in a RowText
+    from tables, which the document's lists share."""
 
-    __slots__ = ("text", "room", "read")
+    __slots__ = ("text", "room", "tables", "read")
 
-    def __init__(self, text: str, room: int):
-        self.text, self.room, self.read = text, room, False
+    def __init__(self, text: str, room: int, tables: dict[int, RowText]):
+        self.text, self.room, self.tables, self.read = text, room, tables, False
 
     def rows(self, n: int, undirected: bool) -> tuple[int, ...]:
         read = None
         if n * n <= self.room:
-            read = _read_pairs(n, _json_pair_chunks(self.text), "[{},", "{}],", undirected)
+            if undirected and _near_complete(n, len(self.text) - 2, *JSON_PAIR):
+                table = self.tables.get(n) or self.tables.setdefault(n, RowText(n, *JSON_PAIR))
+                upper = table.read(self.text, 1, len(self.text) - 1)
+                if upper is not None:
+                    read = (tuple(map(or_, upper, transpose(upper))),)
+            if read is None:
+                read = _read_pairs(n, _json_pair_chunks(self.text), "[{},", "{}],", undirected)
         if read is None:
             raise _Declined
         self.read = True
@@ -245,6 +393,9 @@ class PairText:
 
 class _Declined(Exception):
     """The kernel cannot read a pair list: read the whole document again."""
+
+
+_PAIR_KEY = re.compile(r'"(?:arcs|edges)": \[')
 
 
 def read_pair_json(text: str, read):
@@ -257,14 +408,15 @@ def read_pair_json(text: str, read):
     cut, or if read() raises or leaves a list unread, read() runs again with
     value the text itself, so errors come only from the general reader."""
     pieces, spans = [], []
+    tables: dict[int, RowText] = {}
     at = 0
-    for key in re.finditer(r'"(?:arcs|edges)": \[', text):
+    while (key := _PAIR_KEY.search(text, at)) is not None:  # no scan inside the lists
         lo = key.end() - 1
         hi = lo + 2 if text.startswith("[]", lo) else text.find("]]", lo) + 2
-        if lo < at or hi < lo + 2:
+        if hi < lo + 2:
             return read(text)
         pieces.append(text[at:lo])
-        spans.append(PairText(text[lo:hi], MATRIX_ROOM * len(text)))
+        spans.append(PairText(text[lo:hi], MATRIX_ROOM * len(text), tables))
         at = hi
     pieces.append(text[at:])
     hole = json.dumps(HOLE)
@@ -287,7 +439,8 @@ def read_pair_json(text: str, read):
         if x == HOLE:
             parent[key] = next(fill)
         elif type(x) in (dict, list):
-            todo.extend((x, k) for k in reversed(sorted(x) if type(x) is dict else range(len(x))))
+            keys = sorted(x) if type(x) is dict else range(len(x))
+            todo.extend((x, k) for k in reversed(keys) if type(x[k]) in (dict, list, str))
     try:
         out = read(skeleton)
     except (CCWidthError, _Declined):
@@ -419,6 +572,10 @@ def load_json(value, what: str, /, **shapes) -> dict:
             value = json.loads(value)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+        except ValueError as exc:  # an integer past the interpreter's digit limit
+            raise ParseError(f"bad JSON: {exc}") from None
+        except RecursionError:
+            raise ParseError("bad JSON: nested too deeply") from None
     if not isinstance(value, dict):
         raise ParseError(f"{what} JSON must be an object")
     for key, check in shapes.items():
@@ -481,22 +638,27 @@ def _parse_edge_list(text: str) -> Graph:
     return build_graph(n, pairs)
 
 
-def serialize_graph(g: Graph, fmt: str = "edge-list", cover=None) -> str:
+def serialize_graph(g: Graph, fmt: str = "edge-list", cover=None, table: RowText | None = None) -> str:
+    """g as an edge list, JSON or DOT text (with cover's parts as clusters).
+    table, a RowText in fmt's pair template for g.n vertices, lets graphs
+    written together share the text of K_n's rows."""
+    template = {"edge-list": EDGE_PAIR, "json": JSON_PAIR, "dot": DOT_PAIR}.get(fmt)
+    if template is None:
+        raise ParseError(f"unknown graph format {fmt!r}")
+    pairs = (table or RowText(g.n, *template, keep=False)).text(g.upper())
     if fmt == "edge-list":
-        return f"p {g.n} {g.edge_count()}\n" + pairs_text(g.upper(), "e {} ", "{}\n")
+        return f"p {g.n} {g.edge_count()}\n" + pairs
     if fmt == "json":
-        return splice_json({"n": g.n, "edges": HOLE}, [pairs_json(g.upper())])
-    if fmt == "dot":
-        lines = ["graph {"]
-        if cover is not None:
-            for i, part in enumerate(cover.parts):
-                lines.append(f"  subgraph cluster_{i} {{")
-                lines.append(f'    label="part {i}";')
-                for v in part:
-                    lines.append(f"    {v};")
-                lines.append("  }")
-        else:
-            for v in range(g.n):
-                lines.append(f"  {v};")
-        return "\n".join(lines) + "\n" + pairs_text(g.upper(), "  {} -- ", "{};\n") + "}\n"
-    raise ParseError(f"unknown graph format {fmt!r}")
+        return splice_json({"n": g.n, "edges": HOLE}, ["[" + pairs + "]"])
+    lines = ["graph {"]
+    if cover is not None:
+        for i, part in enumerate(cover.parts):
+            lines.append(f"  subgraph cluster_{i} {{")
+            lines.append(f'    label="part {i}";')
+            for v in part:
+                lines.append(f"    {v};")
+            lines.append("  }")
+    else:
+        for v in range(g.n):
+            lines.append(f"  {v};")
+    return "\n".join(lines) + "\n" + pairs + "}\n"

@@ -23,7 +23,6 @@ from .covers import OrderedCliqueCover, part_masks, quotient_masks
 from .errors import CertificateExtractionError, InvalidArgumentError, ParseError
 from .graphs import (
     Graph,
-    bit_matrix_lines,
     bits,
     complement,
     components,
@@ -37,6 +36,7 @@ from .graphs import (
     read_pair_json,
     row_pairs,
     selector,
+    transpose,
 )
 from .limits import BANDWIDTH_LIMITS, CCW_LIMITS, UDIM_LIMITS, Budget, SearchLimits
 
@@ -85,10 +85,8 @@ class Orientation:
 
     def pred(self) -> list[int]:
         """pred[v] = bitmask of the tails of the arcs entering v: column v of
-        the succ matrix, whose rows are written as bit strings from the last
-        to the first."""
-        n = self.n
-        return bit_matrix_lines("".join(map(f"{{:0{n}b}}".format, reversed(self.succ))), n, transpose=True)
+        the succ matrix."""
+        return transpose(self.succ)
 
     def underlying(self) -> Graph:
         return Graph(self.n, tuple(s | p for s, p in zip(self.succ, self.pred())))

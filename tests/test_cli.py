@@ -205,6 +205,24 @@ def test_decompose_auto_does_not_recheck_the_recognized_orientation(capsys, tmp_
     assert calls == []  # the recognizer's orientation is transitive by construction
 
 
+def test_decompose_checks_and_measures_the_cover_in_one_part_masks_pass(capsys, tmp_path, monkeypatch):
+    from ccwidth import covers, random_poset_graph
+    from ccwidth.incomparability import greedy_layered_cover
+
+    g, o = random_poset_graph(40, 0.1, 1)
+    cover = greedy_layered_cover(o).cover
+    width = covers.cover_width(g, cover)
+    (tmp_path / "poset.graph").write_text(serialize_graph(g))
+    (tmp_path / "cover.json").write_text(covers.cover_to_json(cover))
+    calls = []
+    real = covers.part_masks
+    monkeypatch.setattr(covers, "part_masks", lambda g, parts: calls.append(1) or real(g, parts))
+    argv = ["--out", str(tmp_path), "decompose", str(tmp_path / "poset.graph"), "--cover", str(tmp_path / "cover.json")]
+    code, report = run(capsys, argv)
+    assert code == 0 and report["results"]["width"] == width > 1
+    assert len(calls) == 1
+
+
 def test_greedy_rejects_a_c5_component_beside_a_75_vertex_poset(capsys, tmp_path):
     from ccwidth import build_graph, random_poset_graph
 
@@ -239,6 +257,10 @@ def ten_vertex_poset(tmp_path):
         ("orientation", '{"n": 10, "order": [true, 0, 2, 3, 4, 5, 6, 7, 8, 9]}'),
         ("orientation", '{"n": 10, "order": "0123456789"}'),
         ("orientation", '{"n": 10, "order": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], "arcs": []}'),
+        # an integer past the interpreter's 4,300-digit limit, and nesting past its recursion limit
+        pytest.param("graph", '{"edges": [], "n": ' + "9" * 5000 + "}", id="graph-5000-digit-n"),
+        pytest.param("cover", '{"parts": [[' + "9" * 5000 + "]]}", id="cover-5000-digit-vertex"),
+        pytest.param("json", "[" * 100_000, id="json-100000-nested-lists"),
     ],
 )
 def test_malformed_input_files_exit_2(capsys, tmp_path, kind, text):
@@ -247,6 +269,7 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, kind, text):
     graph = ten_vertex_poset(tmp_path)
     argv = {
         "graph": ["parse", str(bad)],
+        "json": ["--format", "json", "parse", str(bad)],
         "cover": ["decompose", graph, "--cover", str(bad)],
         "orientation": ["ccw", graph, "--greedy", "--orientation", str(bad)],
     }[kind]

@@ -7,7 +7,10 @@ include loops and non-transitive arc sets.  Text outputs must match byte for
 byte, and bad pair lists must raise the same error for the same pair.  The
 orientation writer now writes a vertex order instead of the arcs: the arcs
 reader is checked on the reference's arcs text, and every acyclic
-orientation must come back from the order text.
+orientation must come back from the order text.  Near-complete pair lists
+are written and read by cuts of K_n's rows (RowText): its writer must give
+the reference's text, and its matcher must accept exactly that text and
+agree with the token kernel and the reference readers.
 """
 
 import json
@@ -15,7 +18,8 @@ import random
 import re
 import tracemalloc
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import combinations, compress
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +46,7 @@ from ccwidth.graphs import (
     load_json,
     parse_graph,
     read_pair_json,
+    selector,
     serialize_graph,
 )
 from ccwidth.incomparability import greedy_layered_cover, random_poset_graph
@@ -130,6 +135,16 @@ def ref_is_acyclic(o):
             return False
         left -= sources
     return True
+
+
+def ref_pairs_text(rows, head, tail, sep=""):
+    """head.format(u) + tail.format(v) for every pair (u, v) with bit v set
+    in rows[u], sorted and joined by sep, with no (u, v) tuple made."""
+    vs = range(len(rows))
+    tails = [tail.format(v) for v in vs]
+    return sep.join(
+        h + (sep + h).join(compress(tails, selector(m))) for h, m in zip(map(head.format, vs), rows) if m
+    )
 
 
 def ref_serialize_graph(g, fmt="edge-list", cover=None):
@@ -801,6 +816,226 @@ def test_decomposition_reader_peak_memory_stays_under_ten_times_the_text():
         tracemalloc.stop()
     assert len(d.factors) > 10 and len(text) > 1_000_000
     assert peak < 10 * len(text), (peak, len(text))
+
+
+# ---------------------------------------------------------------------------
+# near-complete pair lists: RowText writes the reference's text, and its
+# matcher accepts only that text, with the kernel's rows and the reference
+# readers' result
+
+TEMPLATES = {"json": kernel.JSON_PAIR, "edge-list": kernel.EDGE_PAIR, "dot": kernel.DOT_PAIR}
+
+
+@st.composite
+def near_complete_graphs(draw, max_n=70):
+    """Graphs at densities 0, 0.5, 0.9-1.0 and complete."""
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from((0.0, 0.5, 0.9, 0.95, 0.98, 0.99, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return ref_build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+
+
+def without(n, pairs):
+    """K_n minus the given pairs."""
+    return ref_build_graph(n, sorted(set(combinations(range(n), 2)) - set(pairs)))
+
+
+def hand_picked_rows():
+    """K_n less one pair, first or last of its row or its row's only pair
+    (u = n - 2), an empty row, rows past the 64-bit word, and the complete
+    graph."""
+    return [
+        without(8, [(0, 1)]),
+        without(8, [(0, 7)]),
+        without(8, [(3, 4)]),
+        without(8, [(6, 7)]),
+        without(8, [(5, 7), (6, 7)]),
+        without(50, [(20, v) for v in range(21, 50)]),
+        without(70, [(0, 69), (1, 65), (64, 65)]),
+        without(70, []),
+        without(2, []),
+        without(2, [(0, 1)]),
+    ]
+
+
+def symmetric(upper):
+    return tuple(map(or_, upper, kernel.transpose(upper)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_complete_graphs(), near_complete_graphs(), orientations(), st.sampled_from(sorted(TEMPLATES)))
+def test_row_text_writes_the_reference_text(g, h, o, fmt):
+    template = TEMPLATES[fmt]
+    table = kernel.RowText(g.n, *template)
+    # the table's rows, made for the first list, serve the later ones
+    for rows in (g.upper(), complement(g).upper(), g.upper()):
+        assert table.text(rows) == ref_pairs_text(rows, *template)
+    assert kernel.RowText(o.n, *template).text(o.succ) == ref_pairs_text(o.succ, *template)
+    assert serialize_graph(h, fmt) == ref_serialize_graph(h, fmt)
+    assert kernel.pair_lists([g.upper(), o.succ, h.upper(), g.upper()]) == [
+        "[" + ref_pairs_text(rows, *kernel.JSON_PAIR) + "]" for rows in (g.upper(), o.succ, h.upper(), g.upper())
+    ]
+
+
+@pytest.mark.parametrize("g", hand_picked_rows(), ids=lambda g: f"n{g.n}_m{g.edge_count()}")
+@pytest.mark.parametrize("fmt", sorted(TEMPLATES))
+def test_row_text_on_hand_picked_rows(g, fmt):
+    template = TEMPLATES[fmt]
+    text = ref_pairs_text(g.upper(), *template)
+    table = kernel.RowText(g.n, *template)
+    assert table.text(g.upper()) == text
+    assert serialize_graph(g, fmt) == ref_serialize_graph(g, fmt)
+    assert table.read(text, 0, len(text)) == list(g.upper())
+    if fmt == "edge-list":  # the header's edge count is still checked
+        wrong = f"p {g.n} {g.edge_count() + 1}\n" + text
+        assert read(parse_graph, wrong) == read(ref_parse_edge_list, wrong)
+
+
+def matched(text, n, template, lo, hi):
+    """The matcher's rows for text[lo:hi]; whenever it accepts, text[lo:hi]
+    is exactly what the writer makes of those rows."""
+    upper = kernel.RowText(n, *template).read(text, lo, hi)
+    if upper is not None:
+        assert text[lo:hi] == ref_pairs_text(upper, *template)
+    return upper
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_complete_graphs(), st.data())
+def test_dense_edge_list_reader_matches_the_kernel_and_the_reference(g, data):
+    lines = serialize_graph(g).splitlines()
+    edits = data.draw(st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6)), max_size=2))
+    for kind, i in edits:
+        lines = mutate(lines, kind, i, g.n)
+    text = "\n".join(lines) + data.draw(st.sampled_from(("", "\n")))
+    assert read(parse_graph, text) == read(ref_parse_edge_list, text)
+    head = text.find("\n") + 1
+    upper = matched(text, g.n, kernel.EDGE_PAIR, head, len(text))
+    if not edits and text.endswith("\n"):
+        assert upper == list(g.upper())
+    if upper is not None:
+        pairs = kernel._read_pairs(g.n, kernel._edge_line_chunks(text, head), "{}", "{}\ne", undirected=True)
+        assert pairs is not None and pairs[0] == symmetric(upper)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_complete_graphs(max_n=40), st.data())
+def test_dense_json_reader_matches_the_kernel_and_the_reference(g, data):
+    text = mutated_json(data, serialize_graph(g, "json"), g.n)
+    assert outcome_of(parse_graph, text, "json") == outcome_of(ref_parse_json_graph, text)
+    pairs = mutated_json(data, "[" + ref_pairs_text(g.upper(), *kernel.JSON_PAIR) + "]", g.n)
+    upper = matched(pairs, g.n, kernel.JSON_PAIR, 1, len(pairs) - 1)
+    if upper is not None:
+        read = kernel._read_pairs(g.n, kernel._json_pair_chunks(pairs), "[{},", "{}],", undirected=True)
+        assert read is not None and read[0] == symmetric(upper)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "e 0 2\ne 0 1\ne 1 2\n",  # tails out of order
+        "e 1 2\ne 0 1\ne 0 2\n",  # rows out of order
+        "e 0 1\ne 0 1\ne 0 2\ne 1 2\n",  # a pair twice
+        "e 0 1\ne 0 2\ne 1 2",  # no last newline
+        "e 0 1\ne 0 2\ne 2 1\n",  # a tail below its row
+        "e 0 1\ne 0 2\ne 1 1\n",  # a loop
+        "e 0 1\ne 0 02\ne 1 2\n",  # another numeral
+        "e 0 1\ne 0 2\ne 1 2\ne 1 3\n",  # a vertex out of range
+        "e 0 1\ne  0 2\ne 1 2\n",  # another separator
+        "e 0 1\ne 0 2\n\ne 1 2\n",  # a blank line
+    ],
+)
+def test_dense_matcher_declines_all_but_the_writers_form(text):
+    assert kernel.RowText(3, *kernel.EDGE_PAIR).read(text, 0, len(text)) is None
+    full = "p 3 3\n" + text
+    assert read(parse_graph, full) == read(ref_parse_edge_list, full)
+
+
+@pytest.mark.parametrize(
+    "n, fmt, text, lo, hi",
+    [
+        (4, "edge-list", "e 1 2\ne 0 3\n", 0, 12),  # a row below the last, with a tail the last row allows
+        (3, "edge-list", "e 0 1\ne 0 2\n", 0, 8),  # the region ends inside a pair
+        (3, "json", "[0, 1], ", 0, 8),  # a separator with no pair after it
+        (3, "json", "[0, 1]__[0, 2]", 0, 14),  # another separator
+        (3, "json", "[0, 1], [0, 2],", 0, 15),
+    ],
+)
+def test_dense_matcher_declines_text_outside_the_region_form(n, fmt, text, lo, hi):
+    assert kernel.RowText(n, *TEMPLATES[fmt]).read(text, lo, hi) is None
+
+
+def switch_graph(fmt, extra):
+    """A graph whose pair text in fmt's template is the shortest that is
+    still near complete, less `extra` more pairs, and the length of K_n's
+    text.  The pairs removed join two two-digit vertices, or a one-digit
+    vertex to a two-digit one, which takes one character less."""
+    head, tail, sep = TEMPLATES[fmt]
+    n = 90
+    full = len(ref_pairs_text(without(n, []).upper(), head, tail, sep))
+    short = full - -(-(kernel.DENSE - 1) * full // kernel.DENSE)  # K_n's text less the least dense length
+    room = len(head.format(10) + tail.format(11) + sep)
+    narrow = -short % room  # short = wide * room + narrow * (room - 1)
+    wide = (short + narrow) // room - narrow
+    pairs = list(combinations(range(10, n), 2))[:wide + extra] + [(0, 10 + k) for k in range(narrow)]
+    return without(n, pairs), full
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("fmt", ["edge-list", "json"])
+def test_a_list_at_the_density_switch_takes_the_dense_path_and_one_past_it_the_kernel(monkeypatch, fmt, extra):
+    g, full = switch_graph(fmt, extra)
+    body = len(ref_pairs_text(g.upper(), *TEMPLATES[fmt]))
+    assert kernel.DENSE * (body - 1) < (kernel.DENSE - 1) * full
+    assert (kernel.DENSE * body >= (kernel.DENSE - 1) * full) == (extra == 0)
+    calls = []
+    real = kernel.RowText.read
+    monkeypatch.setattr(kernel.RowText, "read", lambda *args: calls.append(1) or real(*args))
+    text = serialize_graph(g, fmt)
+    reference = ref_parse_edge_list if fmt == "edge-list" else ref_parse_json_graph
+    assert parse_graph(text, fmt) == g == reference(text)
+    assert calls == ([1] if extra == 0 else [])
+
+
+def test_directed_arc_lists_stay_on_the_kernel(monkeypatch):
+    # a transitive tournament's arcs are every pair u < v: K_n's text
+    o = ref_from_arcs(30, list(combinations(range(30), 2)))
+    text = ref_orientation_to_json(o)
+    calls = []
+    real = kernel.RowText.read
+    monkeypatch.setattr(kernel.RowText, "read", lambda *args: calls.append(1) or real(*args))
+    assert orientation_from_json(text, complement(o.underlying())) == o
+    assert calls == []
+
+
+@pytest.mark.parametrize("fmt", sorted(TEMPLATES))
+def test_pair_lists_and_a_shared_table_write_the_reference_text(fmt):
+    g, h = without(9, [(0, 1)]), without(12, [(3, 4)])
+    assert kernel.pair_lists([g.upper(), h.upper(), g.upper()]) == [json.dumps(ref_edges(x)) for x in (g, h, g)]
+    table = kernel.RowText(9, *TEMPLATES[fmt])
+    for x in (g, complement(g), g):
+        assert serialize_graph(x, fmt, table=table) == ref_serialize_graph(x, fmt)
+
+
+def test_decompose_cli_writes_the_reference_bytes_at_n_200(tmp_path, capsys):
+    from ccwidth.cli import main
+    from ccwidth.covers import cover_to_json
+
+    g, o = random_poset_graph(200, 0.05, 11)
+    cover = greedy_layered_cover(o).cover
+    (tmp_path / "g.graph").write_text(serialize_graph(g))
+    (tmp_path / "cover.json").write_text(cover_to_json(cover))
+    out = tmp_path / "out"
+    code = main(["--out", str(out), "decompose", str(tmp_path / "g.graph"), "--cover", str(tmp_path / "cover.json"),
+                 "--verify"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and all(c["passed"] for c in report["results"]["verification"])
+    d = decompose(g, cover)
+    assert len(d.factors) > 10
+    assert (out / "decomposition.json").read_text() == ref_decomposition_to_json(d)
+    for i, f in enumerate(d.factors):
+        assert (out / f"factor_{i}.dot").read_text() == ref_serialize_graph(f.graph, "dot")
+    assert decomposition_from_json((out / "decomposition.json").read_text()) == d
 
 
 # ---------------------------------------------------------------------------
