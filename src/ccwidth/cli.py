@@ -43,7 +43,7 @@ from .errors import (
 )
 from .graphs import DOT_PAIR, RowText, complement, components, parse_graph, serialize_graph
 from .incomparability import approximate_ccw, greedy_layered_cover
-from .limits import CCW_LIMITS, SearchLimits
+from .limits import CCW_LIMITS, MAX_VERTICES, SearchLimits
 from .oracles import (
     clique_cover_width_exact,
     find_transitive_orientation,
@@ -210,6 +210,10 @@ def cmd_star(args, report):
 def cmd_gen(args, report):
     kind, n, seed = args.kind, args.n, args.seed
     density = args.density
+    if n < 0 or {"grid": n * n, "star": n + 1}.get(kind, n) > MAX_VERTICES:
+        raise IndexOutOfRangeError(f"gen {kind} {n} gives a vertex count outside 0..{MAX_VERTICES}")
+    if not 0 <= density <= 1:  # nan included
+        raise InvalidArgumentError(f"density {density} is not in [0, 1]")
     witnesses = {}
     if kind == "poset":
         g, ghat = generators.random_poset_graph(n, density, seed)

@@ -8,7 +8,7 @@ vertex.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidCoverError, NotAPermutationError
 from .graphs import Graph, bits, is_lists, load_json, mask_of
@@ -17,6 +17,9 @@ from .graphs import Graph, bits, is_lists, load_json, mask_of
 @dataclass(frozen=True)
 class OrderedCliqueCover:
     parts: tuple[tuple[int, ...], ...]
+    # (g, width) for a cover enumerate_ordered_covers made from g, which
+    # cover_width returns for that very graph; outside ==, hash and repr
+    known: tuple[Graph, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def part_of(self) -> dict[int, int]:
         out = {}
@@ -129,7 +132,13 @@ def quotient_masks(pms: list[int], nbrs: list[int]) -> list[int]:
 
 def cover_width(g: Graph, cover: OrderedCliqueCover, *, checked: bool = True) -> int:
     """Maximum |j - i| over edges with endpoints in parts i and j; 0 if no
-    edge crosses parts."""
+    edge crosses parts.  A cover from enumerate_ordered_covers carries the
+    width the census walk measured, which is returned for the graph object
+    it was enumerated in; any other graph, even an equal one, goes through
+    part_masks (and its validity check when checked)."""
+    known = cover.known
+    if known is not None and known[0] is g:
+        return known[1]
     return _checked_masks(g, cover, checked)[2]
 
 

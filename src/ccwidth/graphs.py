@@ -21,6 +21,7 @@ from operator import or_, setitem
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CCWidthError, IndexOutOfRangeError, ParseError, SelfLoopError
+from .limits import MAX_VERTICES
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -214,11 +215,14 @@ def _bit_block(v: int, n: int) -> Iterator[tuple]:
 
 def pair_rows(n: int, pairs: Iterable[tuple[int, int]], what: str, *, undirected: bool) -> tuple[int, ...]:
     """rows[u] = mask of every v with a pair (u, v), and of every v with a
-    pair (v, u) too when undirected.  The first pair in input order with an
-    endpoint outside 0..n-1 raises IndexOutOfRangeError; when undirected, so
-    does a self-loop, with SelfLoopError.  A PairText goes to the kernel."""
+    pair (v, u) too when undirected.  n outside 0..MAX_VERTICES, and the
+    first pair in input order with an endpoint outside 0..n-1, raise
+    IndexOutOfRangeError; when undirected, so does a self-loop, with
+    SelfLoopError.  A PairText goes to the kernel."""
     if n < 0:
         raise IndexOutOfRangeError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise IndexOutOfRangeError(f"vertex count {n} is above {MAX_VERTICES}")
     if type(pairs) is PairText:
         return pairs.rows(n, undirected)
     pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
@@ -545,7 +549,8 @@ def is_connected(g: Graph) -> bool:
 # types, and bool (an int subclass) is rejected as a count
 
 def is_count(x) -> bool:
-    return type(x) is int and x >= 0
+    """A vertex count: 0..MAX_VERTICES."""
+    return type(x) is int and 0 <= x <= MAX_VERTICES
 
 
 def is_lists(x) -> bool:

@@ -1,4 +1,5 @@
-"""Resource caps for the exponential-time exact searches.
+"""Resource caps: the vertex count of any graph, and the limits of the
+exponential-time exact searches.
 
 Every exact oracle takes a SearchLimits; exceeding any cap raises
 LimitExceededError rather than silently approximating.
@@ -10,6 +11,11 @@ import time
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, LimitExceededError
+
+# the most vertices a graph, an orientation or a generated instance may
+# have, far above what any command can process: a larger count in a file or
+# an argument is rejected before anything of that size is allocated
+MAX_VERTICES = 1 << 24
 
 
 @dataclass(frozen=True)

@@ -117,23 +117,26 @@ def orientation_from_json(text: str, g: Graph) -> Orientation:
     """The orientation of the complement of g that an orientation file
     gives.  An "order" file is a permutation of the vertices: each non-edge
     of g points from its earlier end to its later one.  An "arcs" file
-    lists the arcs.  A malformed file raises ParseError; an order file for
-    another vertex count than g's raises CertificateExtractionError."""
+    lists the arcs.  A malformed file, a vertex count above MAX_VERTICES
+    included, raises ParseError; a file for another vertex count than g's
+    raises CertificateExtractionError."""
     return read_pair_json(text, lambda value: _orientation(value, g))
 
 
 def _orientation(value, g: Graph) -> Orientation:
     obj = load_json(value, "orientation", n=is_count)
+    n, order = obj["n"], obj.get("order")
     if "order" not in obj:
-        return Orientation.from_arcs(obj["n"], load_json(obj, "orientation", arcs=is_pairs)["arcs"])
-    n, order = obj["n"], obj["order"]
-    if "arcs" in obj:
+        arcs = load_json(obj, "orientation", arcs=is_pairs)["arcs"]
+    elif "arcs" in obj:
         raise ParseError("orientation JSON has both 'arcs' and 'order'")
-    if not (type(order) is list and set(map(type, order)) <= {int} and len(order) == n
-            and sorted(order) == list(range(n))):
+    elif not (type(order) is list and set(map(type, order)) <= {int} and len(order) == n
+              and sorted(order) == list(range(n))):
         raise ParseError(f"orientation JSON's 'order' is not a permutation of 0..{n - 1}")
     if n != g.n:
         raise CertificateExtractionError(f"orientation has {n} vertices, the graph has {g.n}")
+    if "order" not in obj:
+        return Orientation.from_arcs(n, arcs)
     succ = [0] * n
     after = g.full_mask()  # the vertices after v in the order, once v is reached
     for v in order:
@@ -333,34 +336,53 @@ def enumerate_ordered_covers(g: Graph) -> Iterator[OrderedCliqueCover]:
     The cliques are listed once, as a table; the cliques inside an uncovered
     set are the table entries that are subsets of it, in table order, which
     is their lexicographic order again.  Each such list is kept per set, as
-    (uncovered after the part, part) pairs, and the covers are walked with
-    an explicit stack of iterators over them."""
+    (uncovered after the part, part, the part's neighbours) triples, and the
+    covers are walked with an explicit stack of iterators over them.
+
+    The walk measures each cover's width as it goes, by part_masks's rule:
+    per depth j it keeps before[j], the union of the first j parts, and the
+    width of those parts, and part j raises that width while its neighbours
+    meet before[j - w].  Each cover carries (g, width), which cover_width
+    returns for this g object only."""
     full = g.full_mask()
     if not full:
         yield OrderedCliqueCover(())
         return
-    table = [(m, tuple(bits(m))) for m in _clique_extensions(g.adj, 0, full)]
-    fitting: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    adj = g.adj
+    table = [(m, tuple(bits(m)), reduce(or_, compress(adj, selector(m)), 0))
+             for m in _clique_extensions(adj, 0, full)]
+    fitting: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
 
-    def choices(remaining: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    def choices(remaining: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
         found = fitting.get(remaining)
         if found is None:
-            found = fitting[remaining] = [(remaining & ~m, p) for m, p in table if not m & ~remaining]
+            found = fitting[remaining] = [(remaining & ~m, p, nb) for m, p, nb in table if not m & ~remaining]
         return iter(found)
 
     parts: list[tuple[int, ...]] = []
+    before, widths = [0], [0]  # per depth j: the union and the width of the first j parts
     stack = [choices(full)]
     while stack:
-        for rest, part in stack[-1]:
+        j = len(parts)
+        for rest, part, nb in stack[-1]:
+            w = widths[j]
+            while w < j and nb & before[j - w]:
+                w += 1
             if rest:
                 parts.append(part)
+                before.append(full ^ rest)
+                widths.append(w)
                 stack.append(choices(rest))
                 break
-            yield OrderedCliqueCover((*parts, part))
+            cover = OrderedCliqueCover((*parts, part))
+            object.__setattr__(cover, "known", (g, w))
+            yield cover
         else:
             stack.pop()
             if parts:
                 parts.pop()
+                before.pop()
+                widths.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,10 @@ def ten_vertex_poset(tmp_path):
         pytest.param("graph", '{"edges": [], "n": ' + "9" * 5000 + "}", id="graph-5000-digit-n"),
         pytest.param("cover", '{"parts": [[' + "9" * 5000 + "]]}", id="cover-5000-digit-vertex"),
         pytest.param("json", "[" * 100_000, id="json-100000-nested-lists"),
+        # vertex counts far past MAX_VERTICES, rejected before anything of that size is allocated
+        pytest.param("graph", '{"edges": [], "n": ' + str(10**30) + "}", id="graph-n-10^30"),
+        pytest.param("graph", "p 1000000000000 0\n", id="edge-list-n-10^12"),
+        pytest.param("orientation", '{"arcs": [], "n": ' + str(10**30) + "}", id="arcs-n-10^30"),
     ],
 )
 def test_malformed_input_files_exit_2(capsys, tmp_path, kind, text):
@@ -338,8 +342,35 @@ def test_invalid_arguments_and_missing_files_exit_2(capsys, tmp_path, k4_file, a
     assert code == 2 and "error" in report
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["poset", "-1", "0.5"],
+        ["grid", "-3"],
+        ["star", "-1"],
+        ["star", str(10**30)],
+        ["grid", "4097"],  # 4097 * 4097 vertices
+        ["poset", "5", "nan"],
+        ["random", "5", "2.0"],
+        ["cobipartite", "5", "-0.5"],
+        ["grid", "3", "inf"],
+    ],
+)
+def test_bad_gen_arguments_exit_2(capsys, tmp_path, args):
+    code = main(["--out", str(tmp_path), "gen"] + args)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in out + err
+    assert "error" in json.loads(out)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("n", [8, 12])
-def test_orientation_vertex_count_must_match_the_graph(capsys, tmp_path, n):
+def test_orientation_vertex_count_must_match_the_graph(capsys, monkeypatch, tmp_path, n):
+    from ccwidth import Orientation
+
+    # a file for another vertex count is refused before its arcs are built
+    monkeypatch.setattr(Orientation, "from_arcs", lambda *args: pytest.fail("arcs built"))
     graph = ten_vertex_poset(tmp_path)
     ori = tmp_path / "o.json"
     argv = ["--out", str(tmp_path), "ccw", graph, "--greedy", "--orientation", str(ori)]

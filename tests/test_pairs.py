@@ -10,9 +10,11 @@ reader is checked on the reference's arcs text, and every acyclic
 orientation must come back from the order text.  Near-complete pair lists
 are written and read by cuts of K_n's rows (RowText): its writer must give
 the reference's text, and its matcher must accept exactly that text and
-agree with the token kernel and the reference readers.
+agree with the token kernel and the reference readers.  The width each
+enumerated cover carries must be the width part_masks measures.
 """
 
+import dataclasses
 import json
 import random
 import re
@@ -27,7 +29,8 @@ from hypothesis import strategies as st
 
 from ccwidth import Orientation, build_graph, complement, decompose, verify_transitive
 from ccwidth import graphs as kernel
-from ccwidth.covers import OrderedCliqueCover, make_cover, trivial_cover
+from ccwidth import covers as covers_mod
+from ccwidth.covers import OrderedCliqueCover, cover_to_json, cover_width, make_cover, part_masks, trivial_cover
 from ccwidth.decompose import (
     Decomposition,
     Factor,
@@ -36,7 +39,14 @@ from ccwidth.decompose import (
     decomposition_from_json,
     decomposition_to_json,
 )
-from ccwidth.errors import CyclicOrientationError, IndexOutOfRangeError, ParseError, SelfLoopError
+from ccwidth.errors import (
+    CertificateExtractionError,
+    CyclicOrientationError,
+    IndexOutOfRangeError,
+    InvalidCoverError,
+    ParseError,
+    SelfLoopError,
+)
 from ccwidth.graphs import (
     Graph,
     bits,
@@ -217,10 +227,15 @@ def ref_parse_json_graph(text):
     return build_graph(obj["n"], obj["edges"])
 
 
-def ref_orientation_from_arcs_json(text):
-    """The arcs branch of orientation_from_json, which reads json.loads(text)."""
+def ref_orientation_from_arcs_json(text, g):
+    """The arcs branch of orientation_from_json, which reads json.loads(text)
+    and refuses a file for another vertex count than g's before it reads the
+    arcs."""
     obj = load_json(text, "orientation", n=is_count)
-    return Orientation.from_arcs(obj["n"], load_json(obj, "orientation", arcs=is_pairs)["arcs"])
+    arcs = load_json(obj, "orientation", arcs=is_pairs)["arcs"]
+    if obj["n"] != g.n:
+        raise CertificateExtractionError(f"orientation has {obj['n']} vertices, the graph has {g.n}")
+    return Orientation.from_arcs(obj["n"], arcs)
 
 
 def ref_decomposition_from_json(text):
@@ -553,7 +568,7 @@ def test_edge_list_reader_peak_memory_stays_under_ten_times_the_text():
     [
         lambda: parse_graph("p 40000 0"),
         lambda: parse_graph('{"n": 40000, "edges": []}', "json"),
-        lambda: orientation_from_json('{"n": 40000, "arcs": []}', Graph(0, ())),
+        lambda: orientation_from_json('{"n": 40000, "arcs": []}', Graph(40000, (0,) * 40000)),
         lambda: parse_graph("p 40000 1\ne 0 39999\n"),
     ],
     ids=["edge-list", "json", "orientation", "one-edge"],
@@ -701,9 +716,11 @@ def test_decomposition_reader_matches_the_reference(n, density, seed, data):
 def test_json_graph_and_arcs_readers_match_the_reference(g, o, data):
     text = mutated_json(data, serialize_graph(g, "json"), g.n)
     arcs = mutated_json(data, ref_orientation_to_json(o), o.n)
+    edgeless = Graph(o.n, (0,) * o.n)  # the arcs reader uses only the graph's vertex count
     with pair_chunk(data.draw(st.sampled_from(CHUNKS))):
         assert outcome_of(parse_graph, text, "json") == outcome_of(ref_parse_json_graph, text)
-        assert outcome_of(orientation_from_json, arcs, g) == outcome_of(ref_orientation_from_arcs_json, arcs)
+        expected = outcome_of(ref_orientation_from_arcs_json, arcs, edgeless)
+        assert outcome_of(orientation_from_json, arcs, edgeless) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -794,7 +811,8 @@ def test_json_readers_raise_the_general_readers_error_first():
 def test_canonical_json_with_a_large_n_and_no_pairs_stays_small(key):
     # the pair matrix of n = 5000 would take 25 MB for a 25-byte text
     text = json.dumps({key: [], "n": 5000}, sort_keys=True)
-    read = {"edges": lambda: parse_graph(text, "json"), "arcs": lambda: orientation_from_json(text, Graph(0, ()))}
+    edgeless = Graph(5000, (0,) * 5000)
+    read = {"edges": lambda: parse_graph(text, "json"), "arcs": lambda: orientation_from_json(text, edgeless)}
     tracemalloc.start()
     try:
         read[key]()
@@ -1048,12 +1066,21 @@ def every_graph(n):
         yield build_graph(n, [p for k, p in enumerate(pairs) if code >> k & 1])
 
 
+def assert_carried_widths(g, covers):
+    """The width each census cover carries is part_masks's width, and the
+    width of a fresh cover of the same parts, which carries none."""
+    for cover in covers:
+        width = cover_width(g, cover)
+        assert width == part_masks(g, cover.parts)[3] == cover_width(g, make_cover(cover.parts)), (g, cover)
+
+
 def test_enumeration_matches_the_reference_on_every_graph_up_to_five_vertices():
     count = 0
     for n in range(6):
         for g in every_graph(n):
             covers = list(enumerate_ordered_covers(g))
             assert covers == list(ref_enumerate_ordered_covers(g)), g
+            assert_carried_widths(g, covers)
             count += len(covers)
     assert count == 280_850
 
@@ -1061,7 +1088,37 @@ def test_enumeration_matches_the_reference_on_every_graph_up_to_five_vertices():
 @settings(max_examples=12, deadline=None)
 @given(graphs(min_n=6, max_n=7))
 def test_enumeration_matches_the_reference_at_six_and_seven(g):
-    assert list(enumerate_ordered_covers(g)) == list(ref_enumerate_ordered_covers(g))
+    covers = list(enumerate_ordered_covers(g))
+    assert covers == list(ref_enumerate_ordered_covers(g))
+    assert_carried_widths(g, covers)
+
+
+def test_the_carried_width_changes_nothing_else_about_a_cover(monkeypatch):
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
+    census = list(enumerate_ordered_covers(g))
+    assert all(cover.known is not None and cover.known[0] is g for cover in census)
+    for cover in census:
+        plain = OrderedCliqueCover(cover.parts)
+        assert plain.known is None
+        assert cover == plain and hash(cover) == hash(plain) and repr(cover) == repr(plain)
+        assert cover_to_json(cover) == cover_to_json(plain)
+        assert dataclasses.replace(cover, parts=cover.parts).known is None
+    # a part of two or more vertices is a clique of g, so not one of its complement
+    h = complement(g)
+    merged = [cover for cover in census if len(cover.parts) < g.n]
+    for cover in merged:
+        with pytest.raises(InvalidCoverError):
+            cover_width(h, cover)
+        assert cover_width(h, cover, checked=False) == part_masks(h, cover.parts)[3]
+    assert any(cover_width(h, c, checked=False) != cover_width(g, c) for c in merged)
+    # an equal graph built separately is measured, not trusted
+    twin = build_graph(5, g.edges())
+    assert twin == g and twin is not g
+    calls = []
+    real = covers_mod.part_masks
+    monkeypatch.setattr(covers_mod, "part_masks", lambda g, parts: calls.append(1) or real(g, parts))
+    assert [cover_width(twin, c) for c in census] == [cover_width(g, c) for c in census]
+    assert len(calls) == len(census)
 
 
 def test_enumeration_of_the_empty_graph_is_one_empty_cover():
