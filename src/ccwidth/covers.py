@@ -21,6 +21,18 @@ class OrderedCliqueCover:
     # cover_width returns for that very graph; outside ==, hash and repr
     known: tuple[Graph, int] | None = field(default=None, init=False, repr=False, compare=False)
 
+    @classmethod
+    def measured(cls, parts: tuple[tuple[int, ...], ...], g: Graph, width: int) -> OrderedCliqueCover:
+        """The cover of `parts` carrying (g, width), as
+        enumerate_ordered_covers yields it: both fields are stored in the
+        instance dict directly, which skips the frozen __init__ and
+        __setattr__ on this per-cover path."""
+        cover = object.__new__(cls)
+        fields = cover.__dict__
+        fields["parts"] = parts
+        fields["known"] = (g, width)
+        return cover
+
     def part_of(self) -> dict[int, int]:
         out = {}
         for i, part in enumerate(self.parts):

@@ -558,7 +558,7 @@ def is_lists(x) -> bool:
     if type(x) is not list or not set(map(type, x)) <= {list}:
         return False
     flat = list(chain.from_iterable(x))
-    return set(map(type, flat)) <= {int} and min(flat, default=0) >= 0
+    return set(map(type, flat)) <= {int} and min(flat, default=0) >= 0 and max(flat, default=0) <= MAX_VERTICES
 
 
 def is_pairs(x) -> bool:

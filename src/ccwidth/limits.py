@@ -47,10 +47,16 @@ class Budget:
         if self.nodes_left <= 0:
             raise LimitExceededError("search node budget exhausted")
         # monotonic() is cheap but not free; only poll occasionally
-        if self.nodes_left % 4096 == 0 and time.monotonic() > self.deadline:
+        if self.nodes_left % 4096 == 0:
+            self.poll()
+
+    def poll(self) -> None:
+        """Raise once the time budget is spent: tick calls this every 4,096
+        nodes, a search that does work between ticks calls it itself."""
+        if time.monotonic() > self.deadline:
             raise LimitExceededError("search time budget exhausted")
 
 
 BANDWIDTH_LIMITS = SearchLimits(max_n=12)
-CCW_LIMITS = SearchLimits(max_n=10)
+CCW_LIMITS = SearchLimits(max_n=19)
 UDIM_LIMITS = SearchLimits(max_n=7)

@@ -19,7 +19,7 @@ from itertools import chain, compress
 from operator import or_
 from typing import Iterable, Iterator
 
-from .covers import OrderedCliqueCover, part_masks, quotient_masks
+from .covers import OrderedCliqueCover
 from .errors import CertificateExtractionError, InvalidArgumentError, ParseError
 from .graphs import (
     Graph,
@@ -168,21 +168,21 @@ def largest_induced_star(g: Graph) -> tuple[int, StarCertificate]:
 
 
 def _max_independent_set(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
-    """Maximum independent set within `mask`, by branch and bound.
+    """Maximum independent set within `mask`, by branch and bound, walked
+    with an explicit stack.
 
     Pivot: highest degree within the mask (ties to the lowest index);
     include-branch first.  Returns (size, member mask).
     """
-    best_size = 0
-    best_set = 0
-
-    def go(mask: int, chosen: int, size: int) -> None:
-        nonlocal best_size, best_set
+    best_size, best_set = 0, 0
+    stack = [(mask, 0, 0)]
+    while stack:
+        mask, chosen, size = stack.pop()
         if size + mask.bit_count() <= best_size:
-            return
+            continue
         if mask == 0:
             best_size, best_set = size, chosen
-            return
+            continue
         pivot = -1
         pivot_deg = -1
         free = 0  # vertices isolated within mask; always taken
@@ -193,13 +193,11 @@ def _max_independent_set(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
             elif d > pivot_deg:
                 pivot, pivot_deg = v, d
         if free:
-            go(mask & ~free, chosen | free, size + free.bit_count())
-            return
-        v = pivot
-        go(mask & ~(adj[v] | (1 << v)), chosen | (1 << v), size + 1)
-        go(mask & ~(1 << v), chosen, size)
-
-    go(mask, 0, 0)
+            stack.append((mask & ~free, chosen | free, size + free.bit_count()))
+            continue
+        b = 1 << pivot
+        stack.append((mask & ~b, chosen, size))
+        stack.append((mask & ~(adj[pivot] | b), chosen | b, size + 1))
     return best_size, best_set
 
 
@@ -211,9 +209,17 @@ def _clique_extensions(adj, base: int, candidates: int) -> Iterator[int]:
     order of the added vertex list (base itself first if nonempty)."""
     if base:
         yield base
-    for v in bits(candidates):
-        higher = candidates & ~((1 << (v + 1)) - 1)
-        yield from _clique_extensions(adj, base | (1 << v), higher & adj[v])
+    stack = [(base, candidates)]  # per clique on the walk: itself, its candidates not yet tried
+    while stack:
+        base, candidates = stack[-1]
+        if not candidates:
+            stack.pop()
+            continue
+        low = candidates & -candidates
+        candidates ^= low
+        stack[-1] = (base, candidates)
+        yield base | low
+        stack.append((base | low, candidates & adj[low.bit_length() - 1]))
 
 
 def _cliques_containing(adj, remaining: int, required: int) -> Iterator[int]:
@@ -226,45 +232,67 @@ def _cliques_containing(adj, remaining: int, required: int) -> Iterator[int]:
     yield from _clique_extensions(adj, required, cands)
 
 
-def _singletons_containing(adj, remaining: int, required: int) -> Iterator[int]:
-    """One-vertex parts P with required ⊆ P ⊆ remaining, in vertex order."""
-    if not required & (required - 1):
-        for v in bits(required or remaining):
-            yield 1 << v
-
-
 def _cover_with_width_at_most(
-    g: Graph, w: int, budget: Budget, grow=_cliques_containing
+    g: Graph, w: int, budget: Budget, mates: tuple[int, ...] | None = None
 ) -> tuple[int, ...] | None:
     """First ordered cover of width <= w, for w >= 1, in canonical order, as
-    a tuple of part bitmasks, or None if none exists.  grow(adj, remaining,
-    required) yields the candidate next parts: the cliques by default, the
-    single vertices for bandwidth.
+    a tuple of part bitmasks, or None if none exists.  The parts are the
+    cliques of mates: of g by default, of the edgeless graph (single
+    vertices) for bandwidth.  The search is depth first, with an explicit
+    stack of candidate iterators, and ticks the budget once per node.
 
-    Key pruning: once part i is placed, part i-w may not have neighbors among
-    the still-uncovered vertices, so those neighbors are forced into part i.
+    Look-ahead rule: in a cover of width <= w, the neighbours of part j lie
+    in parts j - w .. j + w.  Once m parts are placed, let F_k, k = 1..w, be
+    the uncovered neighbours of parts m - w .. m - w + k - 1: they lie in
+    the next k parts, which are cliques of mates, so F_k holds no k + 1
+    vertices independent in mates.  A candidate part that leaves some F_k
+    with such a set is cut before its node is expanded; only subtrees with
+    no cover are cut, so the first cover found is the same.  F_1 is then a
+    clique, which the next part must hold: the forcing rule.  The time
+    budget is polled once per 4,096 cut candidates, which tick nothing.
     """
     adj = g.adj
-
-    def rec(remaining: int, parts: tuple[int, ...]) -> tuple[int, ...] | None:
-        if remaining == 0:
-            return parts
-        budget.tick()
-        i = len(parts)
-        required = 0
-        if i >= w:
-            expiring = parts[i - w]
-            nb = 0
-            for v in bits(expiring):
-                nb |= adj[v]
-            required = nb & remaining
-        for part in grow(adj, remaining, required):
-            found = rec(remaining & ~part, parts + (part,))
-            if found is not None:
-                return found
-        return None
-
-    return rec(g.full_mask(), ())
+    mates = adj if mates is None else mates
+    full = g.full_mask()
+    parts: list[int] = []
+    nbs: list[int] = []  # the neighbours of each placed part
+    stack = [(full, _cliques_containing(mates, full, 0))]  # per depth: the uncovered vertices, their candidates
+    budget.tick()
+    cut = 0
+    alpha: dict[int, int] = {}  # the independence number in mates of each F_k met
+    while stack:
+        m = len(parts) + 1  # parts placed once the candidate is
+        remaining, candidates = stack[-1]
+        for part in candidates:
+            rest = remaining & ~part
+            if not rest:
+                return (*parts, part)
+            fk = 0
+            for k in range(max(1, w - m + 1), w + 1):  # the k with a part m - w + k - 1
+                # the last k adds the candidate's own neighbours, which nb keeps if it is placed
+                nb = nbs[m - w + k - 1] if k < w else reduce(or_, compress(adj, selector(part)))
+                fk |= nb & rest
+                if fk.bit_count() > k:
+                    a = alpha.get(fk)
+                    if a is None:
+                        a = alpha[fk] = _max_independent_set(mates, fk)[0]
+                    if a > k:
+                        break
+            else:
+                parts.append(part)
+                nbs.append(nb)
+                budget.tick()
+                stack.append((rest, _cliques_containing(mates, rest, nbs[m - w] & rest if m >= w else 0)))
+                break
+            cut += 1
+            if not cut & 4095:
+                budget.poll()
+        else:
+            stack.pop()
+            if parts:
+                parts.pop()
+                nbs.pop()
+    return None
 
 
 def bandwidth_exact(g: Graph, limits: SearchLimits = BANDWIDTH_LIMITS) -> tuple[int, tuple[int, ...]]:
@@ -280,7 +308,8 @@ def bandwidth_exact(g: Graph, limits: SearchLimits = BANDWIDTH_LIMITS) -> tuple[
     if w == 0:
         return 0, tuple(range(g.n))
     budget = Budget(limits)
-    while (parts := _cover_with_width_at_most(g, w, budget, _singletons_containing)) is None:
+    edgeless = (0,) * g.n  # its cliques are the one-vertex parts
+    while (parts := _cover_with_width_at_most(g, w, budget, edgeless)) is None:
         w += 1
     return w, tuple(p.bit_length() - 1 for p in parts)
 
@@ -352,16 +381,10 @@ def enumerate_ordered_covers(g: Graph) -> Iterator[OrderedCliqueCover]:
     table = [(m, tuple(bits(m)), reduce(or_, compress(adj, selector(m)), 0))
              for m in _clique_extensions(adj, 0, full)]
     fitting: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
-
-    def choices(remaining: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
-        found = fitting.get(remaining)
-        if found is None:
-            found = fitting[remaining] = [(remaining & ~m, p, nb) for m, p, nb in table if not m & ~remaining]
-        return iter(found)
-
+    measured = OrderedCliqueCover.measured
     parts: list[tuple[int, ...]] = []
     before, widths = [0], [0]  # per depth j: the union and the width of the first j parts
-    stack = [choices(full)]
+    stack = [iter([(full & ~m, p, nb) for m, p, nb in table])]
     while stack:
         j = len(parts)
         for rest, part, nb in stack[-1]:
@@ -372,11 +395,12 @@ def enumerate_ordered_covers(g: Graph) -> Iterator[OrderedCliqueCover]:
                 parts.append(part)
                 before.append(full ^ rest)
                 widths.append(w)
-                stack.append(choices(rest))
+                found = fitting.get(rest)
+                if found is None:
+                    found = fitting[rest] = [(rest & ~m, p, nb) for m, p, nb in table if not m & ~rest]
+                stack.append(iter(found))
                 break
-            cover = OrderedCliqueCover((*parts, part))
-            object.__setattr__(cover, "known", (g, w))
-            yield cover
+            yield measured((*parts, part), g, w)
         else:
             stack.pop()
             if parts:
@@ -449,6 +473,11 @@ def unit_intersection_dimension(g: Graph, limits: SearchLimits = UDIM_LIMITS) ->
     g is connected, so the blocks' quotient graph is connected, and an
     order of width <= 1 exists iff that quotient is a path (k - 1 edges,
     no block meeting more than two others).
+
+    The partitions are built vertex by vertex as lists of block masks.
+    Tables over all 2^n vertex masks, made once per call, give a block's
+    neighbours, for the path test, and the non-edges inside it: the
+    partition splits every non-edge that no block holds.
     """
     limits.check_n(g.n)
     if not is_connected(g):
@@ -457,40 +486,44 @@ def unit_intersection_dimension(g: Graph, limits: SearchLimits = UDIM_LIMITS) ->
     if not nonedges:
         return 1  # a clique is itself a width-0 factor
     full = (1 << len(nonedges)) - 1
+    at = [0] * g.n  # the non-edges at each vertex
+    for k, (u, v) in enumerate(nonedges):
+        at[u] |= 1 << k
+        at[v] |= 1 << k
+    # per vertex mask s: the non-edges inside s, those touching s, and the neighbours of s outside s
+    inside, touch, outside = [0] * (1 << g.n), [0] * (1 << g.n), [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        v = (s & -s).bit_length() - 1
+        rest = s & (s - 1)
+        inside[s] = inside[rest] | at[v] & touch[rest]
+        touch[s] = touch[rest] | at[v]
+        outside[s] = (outside[rest] | g.adj[v]) & ~s
 
+    partitions = [[]]  # the set partitions of the first v vertices, as lists of block masks
+    for v in range(g.n):  # v joins one of the blocks, or starts one of its own
+        b = 1 << v
+        joined = [p[:i] + [p[i] | b] + p[i + 1:] for p in partitions for i in range(len(p))]
+        partitions = joined + [p + [b] for p in partitions]
     coverage: set[int] = set()
-    for blocks in _set_partitions(g.n):
-        degrees = [q.bit_count() for q in quotient_masks(*part_masks(g, blocks)[:2])]
-        if max(degrees) > 2 or sum(degrees) != 2 * (len(blocks) - 1):
-            continue
-        block_of = {v: b for b, block in enumerate(blocks) for v in block}
-        coverage.add(sum(1 << k for k, (u, v) in enumerate(nonedges) if block_of[u] != block_of[v]))
+    for blocks in partitions:
+        ends = 0  # the quotient's edges, counted at both ends
+        for pm in blocks:
+            out = outside[pm]
+            degree = 0
+            for c in blocks:
+                if c & out:
+                    degree += 1
+            if degree > 2:
+                break
+            ends += degree
+        else:
+            if ends == 2 * (len(blocks) - 1):
+                coverage.add(full & ~reduce(or_, map(inside.__getitem__, blocks)))
 
     masks = _maximal_masks(coverage)
     if full in masks:
         return 1
     return _min_set_cover(masks, full)
-
-
-def _set_partitions(n: int):
-    """All partitions of {0..n-1} into nonempty blocks (unordered)."""
-    if n == 0:
-        yield []
-        return
-
-    def rec(v: int, blocks: list[list[int]]):
-        if v == n:
-            yield [tuple(b) for b in blocks]
-            return
-        for b in blocks:
-            b.append(v)
-            yield from rec(v + 1, blocks)
-            b.pop()
-        blocks.append([v])
-        yield from rec(v + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])
 
 
 def _maximal_masks(masks: set[int]) -> list[int]:
@@ -512,17 +545,14 @@ def _min_set_cover(masks: list[int], full: int) -> int:
             raise InvalidArgumentError("uncoverable element in set cover")
         by_element[k] = covering
     best = len(masks) + 1
-
-    def rec(uncovered: int, used: int) -> None:
-        nonlocal best
+    stack = [(full, 0)]
+    while stack:
+        uncovered, used = stack.pop()
         if used >= best:
-            return
+            continue
         if uncovered == 0:
             best = used
-            return
+            continue
         pick = min(bits(uncovered), key=lambda k: len(by_element[k]))
-        for m in by_element[pick]:
-            rec(uncovered & ~m, used + 1)
-
-    rec(full, 0)
+        stack.extend((uncovered & ~m, used + 1) for m in reversed(by_element[pick]))
     return best

@@ -265,6 +265,14 @@ def ten_vertex_poset(tmp_path):
         pytest.param("graph", '{"edges": [], "n": ' + str(10**30) + "}", id="graph-n-10^30"),
         pytest.param("graph", "p 1000000000000 0\n", id="edge-list-n-10^12"),
         pytest.param("orientation", '{"arcs": [], "n": ' + str(10**30) + "}", id="arcs-n-10^30"),
+        # vertex ids past MAX_VERTICES, rejected before a mask of that many bits is made
+        pytest.param("cover", '{"parts": [[100000000000]]}', id="cover-vertex-10^11"),
+        pytest.param(
+            "decomposition",
+            '{"cover": [[0]], "factors": [{"kind": "cobipartite", "graph": {"n": 10, "edges": []},'
+            ' "bipartition": [[100000000000], [1]], "orientation": null, "blocks": null}]}',
+            id="bipartition-vertex-10^11",
+        ),
     ],
 )
 def test_malformed_input_files_exit_2(capsys, tmp_path, kind, text):
@@ -276,6 +284,7 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, kind, text):
         "json": ["--format", "json", "parse", str(bad)],
         "cover": ["decompose", graph, "--cover", str(bad)],
         "orientation": ["ccw", graph, "--greedy", "--orientation", str(bad)],
+        "decomposition": ["verify", graph, "--decomposition", str(bad)],
     }[kind]
     code = main(["--out", str(tmp_path)] + argv)
     out, err = capsys.readouterr()

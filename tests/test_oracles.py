@@ -40,7 +40,7 @@ from ccwidth import oracles
 from ccwidth.graphs import bits, is_connected, mask_of
 from ccwidth.incomparability import random_poset_graph
 from ccwidth.limits import BANDWIDTH_LIMITS, CCW_LIMITS, Budget, SearchLimits
-from ccwidth.oracles import _cliques_containing, _maximal_masks, _min_set_cover, _set_partitions
+from ccwidth.oracles import _cliques_containing, _maximal_masks, _min_set_cover
 
 from conftest import graphs
 
@@ -84,6 +84,62 @@ def test_star_certificate_validates():
         assert len(cert.leaves) == size
 
 
+def ref_max_independent_set(adj, mask):
+    """The recursive branch and bound the explicit-stack search replaced:
+    pivot of highest degree within the mask, include-branch first."""
+    best_size = 0
+    best_set = 0
+
+    def go(mask, chosen, size):
+        nonlocal best_size, best_set
+        if size + mask.bit_count() <= best_size:
+            return
+        if mask == 0:
+            best_size, best_set = size, chosen
+            return
+        pivot = -1
+        pivot_deg = -1
+        free = 0
+        for v in bits(mask):
+            d = (adj[v] & mask).bit_count()
+            if d == 0:
+                free |= 1 << v
+            elif d > pivot_deg:
+                pivot, pivot_deg = v, d
+        if free:
+            go(mask & ~free, chosen | free, size + free.bit_count())
+            return
+        v = pivot
+        go(mask & ~(adj[v] | (1 << v)), chosen | (1 << v), size + 1)
+        go(mask & ~(1 << v), chosen, size)
+
+    go(mask, 0, 0)
+    return best_size, best_set
+
+
+def every_graph(n):
+    pairs = list(combinations(range(n), 2))
+    for code in range(1 << len(pairs)):
+        yield build_graph(n, [p for k, p in enumerate(pairs) if code >> k & 1])
+
+
+def test_mis_matches_brute_force_alpha_on_every_graph_up_to_six_vertices():
+    count = 0
+    for n in range(7):
+        for g in every_graph(n):
+            independent = [True] * (1 << n)  # by subset mask, from the subset without its lowest vertex
+            for s in range(1, 1 << n):
+                low = (s & -s).bit_length() - 1
+                independent[s] = independent[s & (s - 1)] and not g.adj[low] & s
+            alpha = max(s.bit_count() for s in range(1 << n) if independent[s])
+            full = g.full_mask()
+            found = oracles._max_independent_set(g.adj, full)
+            assert found == ref_max_independent_set(g.adj, full)
+            assert found[0] == alpha and independent[found[1]] and found[1].bit_count() == alpha
+            count += 1
+    assert count == 1 + 1 + 2 + 8 + 64 + 1024 + 32768
+
+
 # ---------------------------------------------------------------------------
 # exact clique cover width
 
@@ -122,7 +178,7 @@ def test_ccw_disconnected_takes_max():
 
 def test_ccw_limit():
     with pytest.raises(LimitExceededError):
-        clique_cover_width_exact(complete_graph(11))
+        clique_cover_width_exact(complete_graph(CCW_LIMITS.max_n + 1))
 
 
 @given(graphs(min_n=1, max_n=6))
@@ -338,7 +394,10 @@ def counted(fn, g):
 @given(mixed_graphs())
 @settings(max_examples=150, deadline=None)
 def test_bandwidth_matches_placement_reference_tick_for_tick(g):
-    assert counted(bandwidth_exact, g) == counted(ref_bandwidth_exact, g)
+    found, ticks = counted(bandwidth_exact, g)
+    ref, ref_ticks = counted(ref_bandwidth_exact, g)
+    assert found == ref
+    assert ticks <= ref_ticks
 
 
 @given(mixed_graphs())
@@ -349,6 +408,35 @@ def test_ccw_matches_parent_reference_with_no_more_ticks(g):
     assert found == ref
     assert ticks <= ref_ticks
     assert is_unit_incomparability(g) == (ref[0] <= 1)
+
+
+def test_look_ahead_cuts_nodes_on_the_three_by_three_grid():
+    # same witnesses with fewer nodes: 99 -> 14 for bandwidth, 30 -> 6 for ccw
+    g = grid_graph(3, 3)
+    found, ticks = counted(bandwidth_exact, g)
+    ref, ref_ticks = counted(ref_bandwidth_exact, g)
+    assert found == ref and ticks < ref_ticks
+    found, ticks = counted(clique_cover_width_exact, g)
+    ref, ref_ticks = counted(ref_clique_cover_width_exact, g)
+    assert found == ref and ticks < ref_ticks
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_ccw_matches_the_plain_search_on_desk_graphs(n):
+    limits = SearchLimits(max_n=16)
+    for seed in range(7):
+        g = random_connected_graph(n, 0.3, seed)
+        found, ticks = counted(lambda h: clique_cover_width_exact(h, limits), g)
+        ref, ref_ticks = counted(lambda h: ref_clique_cover_width_exact(h, limits), g)
+        assert found == ref and ticks <= ref_ticks, seed
+
+
+def test_time_budget_bounds_the_cut_candidates():
+    # 8 nodes, so the node count alone never polls the clock, against more
+    # than 12,000 cut candidates: only their own poll stops the search
+    g, _ = random_poset_graph(20, 0.15, 0)
+    with pytest.raises(LimitExceededError, match="time budget"):
+        clique_cover_width_exact(g, SearchLimits(max_n=20, time_budget_ms=1))
 
 
 @given(mixed_graphs())
@@ -515,6 +603,27 @@ def test_udim_below_ccw():
         assert unit_intersection_dimension(g) <= clique_cover_width_exact(g)[0]
 
 
+def _set_partitions(n: int):
+    """All partitions of {0..n-1} into nonempty blocks (unordered)."""
+    if n == 0:
+        yield []
+        return
+
+    def rec(v: int, blocks: list[list[int]]):
+        if v == n:
+            yield [tuple(b) for b in blocks]
+            return
+        for b in blocks:
+            b.append(v)
+            yield from rec(v + 1, blocks)
+            b.pop()
+        blocks.append([v])
+        yield from rec(v + 1, blocks)
+        blocks.pop()
+
+    yield from rec(0, [])
+
+
 def ref_unit_intersection_dimension(g):
     """The admissibility loop the quotient-path test replaced: every order
     of every set partition, kept when no edge spans a gap >= 2."""
@@ -538,11 +647,7 @@ def ref_unit_intersection_dimension(g):
 
 
 def connected_labelled_graphs(n):
-    pairs = list(combinations(range(n), 2))
-    for chosen in range(1 << len(pairs)):
-        g = build_graph(n, [p for k, p in enumerate(pairs) if chosen >> k & 1])
-        if is_connected(g):
-            yield g
+    return filter(is_connected, every_graph(n))
 
 
 def test_udim_matches_permutation_reference_up_to_five_vertices():
@@ -555,7 +660,7 @@ def test_udim_matches_permutation_reference_up_to_five_vertices():
 
 
 @given(graphs(min_n=6, max_n=7))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_udim_matches_permutation_reference_at_six_and_seven(g):
     if is_connected(g):
         assert unit_intersection_dimension(g) == ref_unit_intersection_dimension(g)

@@ -6,17 +6,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_greedy_vs_exact_script_runs():
+def run_greedy_vs_exact(*args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "greedy_vs_exact.py"), "--trials", "3"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "greedy_vs_exact.py"), *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def test_greedy_vs_exact_script_runs():
+    proc = run_greedy_vs_exact("--trials", "3")
     assert proc.returncode == 0, proc.stderr
     assert "graphs, n=9" in proc.stdout
+
+
+def test_greedy_vs_exact_script_times_the_exact_search_under_its_cap():
+    proc = run_greedy_vs_exact("--n", "12", "--trials", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "graphs, n=12" in proc.stdout and "exact ccw time: median" in proc.stdout
+    proc = run_greedy_vs_exact("--n", "12", "--trials", "2", "--limits-n", "11")
+    assert proc.returncode != 0 and "cap is 11" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_run_acceptance_script_runs_one_criterion_from_a_source_checkout():
