@@ -44,7 +44,7 @@ def main():
         except LimitExceededError as exc:
             raise SystemExit(f"exact search on seed {args.seed + t}: {exc}") from None
         times.append(time.perf_counter() - start)
-        res = approximate_ccw(g, ghat, check=False)
+        res = approximate_ccw(g, ghat)
         s, _ = largest_induced_star(g)
         gap = res.upper - exact
         gaps[gap] += 1

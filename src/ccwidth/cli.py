@@ -43,7 +43,7 @@ from .errors import (
 )
 from .graphs import DOT_PAIR, RowText, complement, components, parse_graph, serialize_graph
 from .incomparability import approximate_ccw, greedy_layered_cover
-from .limits import CCW_LIMITS, MAX_VERTICES, SearchLimits
+from .limits import CCW_LIMITS, MAX_VERTICES, STATS_STAR_MAX_N, SearchLimits
 from .oracles import (
     clique_cover_width_exact,
     find_transitive_orientation,
@@ -90,7 +90,6 @@ def _checks(vr) -> list[dict]:
 def _limits(args) -> SearchLimits:
     return SearchLimits(
         max_n=CCW_LIMITS.max_n if args.limits_n is None else args.limits_n,
-        node_budget=CCW_LIMITS.node_budget,
         time_budget_ms=CCW_LIMITS.time_budget_ms if args.limits_time is None else args.limits_time,
     )
 
@@ -128,7 +127,7 @@ def cmd_ccw(args, report):
         report["witnesses"] = {"cover": path}
     else:
         ghat = orientation_from_json(_read_input(args.orientation), g) if args.orientation else None
-        res = approximate_ccw(g, ghat, check=not args.assume_transitive)
+        res = approximate_ccw(g, ghat)
         cover_path = _write_witness(args, "greedy_cover.json", cover_to_json(res.witness_cover))
         star_path = _write_witness(
             args,
@@ -243,6 +242,8 @@ def cmd_gen(args, report):
 
 def cmd_ramsey(args, report):
     if args.corollary is not None:
+        if args.targets or args.verify_tiny:
+            raise InvalidQueryError("--corollary takes no targets and no --verify-tiny")
         answer = star_bound_from_width(args.corollary)
         results = {"targets": [3] * (args.corollary - 1) + [4], "kind": answer.kind}
         if answer.kind == "exact":
@@ -282,7 +283,7 @@ def cmd_stats(args, report):
         "max_degree": max(degrees),
         "min_degree": min(degrees),
     }
-    if g.n <= 32:
+    if g.n <= STATS_STAR_MAX_N:
         size, _ = largest_induced_star(g)
         report["results"]["star_leaves"] = size
     return EXIT_OK
@@ -312,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--greedy", action="store_true")
     p.add_argument("--orientation", default=None, help="orientation JSON for greedy mode")
-    p.add_argument("--assume-transitive", action="store_true")
     p.set_defaults(func=cmd_ccw)
 
     p = sub.add_parser("decompose", help="factor a graph through an ordered clique cover")

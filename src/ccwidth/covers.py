@@ -130,9 +130,9 @@ def validated_width(g: Graph, cover: OrderedCliqueCover) -> tuple[CoverReport, i
     return (CoverReport((), (), ()) if valid else _report(g, cover.parts, pms)), width
 
 
-def _checked_masks(g: Graph, cover: OrderedCliqueCover, checked: bool) -> tuple[list[int], list[int], int]:
+def _checked_masks(g: Graph, cover: OrderedCliqueCover) -> tuple[list[int], list[int], int]:
     pms, nbrs, valid, width = part_masks(g, cover.parts)
-    if checked and not valid:
+    if not valid:
         raise InvalidCoverError(f"invalid cover: {_report(g, cover.parts, pms)}")
     return pms, nbrs, width
 
@@ -142,20 +142,20 @@ def quotient_masks(pms: list[int], nbrs: list[int]) -> list[int]:
     return [mask_of(j for j, pm in enumerate(pms) if j != i and nb & pm) for i, nb in enumerate(nbrs)]
 
 
-def cover_width(g: Graph, cover: OrderedCliqueCover, *, checked: bool = True) -> int:
+def cover_width(g: Graph, cover: OrderedCliqueCover) -> int:
     """Maximum |j - i| over edges with endpoints in parts i and j; 0 if no
     edge crosses parts.  A cover from enumerate_ordered_covers carries the
     width the census walk measured, which is returned for the graph object
     it was enumerated in; any other graph, even an equal one, goes through
-    part_masks (and its validity check when checked)."""
+    part_masks and its validity check."""
     known = cover.known
     if known is not None and known[0] is g:
         return known[1]
-    return _checked_masks(g, cover, checked)[2]
+    return _checked_masks(g, cover)[2]
 
 
 def quotient_graph(g: Graph, cover: OrderedCliqueCover) -> Graph:
-    q = quotient_masks(*_checked_masks(g, cover, True)[:2])
+    q = quotient_masks(*_checked_masks(g, cover)[:2])
     return Graph(len(q), tuple(q))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covers import OrderedCliqueCover, cover_width, make_cover, validate_cover
+from .covers import OrderedCliqueCover, cover_width, make_cover, validated_width
 from .errors import InvalidArgumentError
 from .graphs import (
     HOLE,
@@ -219,13 +219,11 @@ def verify_decomposition(g: Graph, d: Decomposition) -> DecompositionReport:
         if f.blocks is None:
             ok, detail = False, "terminal factor lacks a block cover"
         else:
-            rep = validate_cover(f.graph, f.blocks)
+            rep, bw = validated_width(f.graph, f.blocks)
             if not rep.valid:
                 ok, detail = False, f"block cover invalid for the terminal factor: {rep}"
-            else:
-                bw = cover_width(f.graph, f.blocks, checked=False)
-                if bw > 1:
-                    ok, detail = False, f"block cover width {bw} exceeds 1"
+            elif bw > 1:
+                ok, detail = False, f"block cover width {bw} exceeds 1"
     checks.append(Check("e_block_cover", ok, detail))
 
     return DecompositionReport(tuple(checks))

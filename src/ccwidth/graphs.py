@@ -643,10 +643,10 @@ def _parse_edge_list(text: str) -> Graph:
     return build_graph(n, pairs)
 
 
-def serialize_graph(g: Graph, fmt: str = "edge-list", cover=None, table: RowText | None = None) -> str:
-    """g as an edge list, JSON or DOT text (with cover's parts as clusters).
-    table, a RowText in fmt's pair template for g.n vertices, lets graphs
-    written together share the text of K_n's rows."""
+def serialize_graph(g: Graph, fmt: str = "edge-list", table: RowText | None = None) -> str:
+    """g as an edge list, JSON or DOT text.  table, a RowText in fmt's pair
+    template for g.n vertices, lets graphs written together share the text
+    of K_n's rows."""
     template = {"edge-list": EDGE_PAIR, "json": JSON_PAIR, "dot": DOT_PAIR}.get(fmt)
     if template is None:
         raise ParseError(f"unknown graph format {fmt!r}")
@@ -655,15 +655,4 @@ def serialize_graph(g: Graph, fmt: str = "edge-list", cover=None, table: RowText
         return f"p {g.n} {g.edge_count()}\n" + pairs
     if fmt == "json":
         return splice_json({"n": g.n, "edges": HOLE}, ["[" + pairs + "]"])
-    lines = ["graph {"]
-    if cover is not None:
-        for i, part in enumerate(cover.parts):
-            lines.append(f"  subgraph cluster_{i} {{")
-            lines.append(f'    label="part {i}";')
-            for v in part:
-                lines.append(f"    {v};")
-            lines.append("  }")
-    else:
-        for v in range(g.n):
-            lines.append(f"  {v};")
-    return "\n".join(lines) + "\n" + pairs + "}\n"
+    return "graph {\n" + "".join(f"  {v};\n" for v in range(g.n)) + pairs + "}\n"

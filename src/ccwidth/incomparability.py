@@ -38,7 +38,6 @@ from .oracles import (
 @dataclass(frozen=True)
 class LayeredCover:
     cover: OrderedCliqueCover
-    levels: tuple[int, ...]  # levels[v] = layer index of v
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ def greedy_layered_cover(orientation: Orientation, *, check: bool = True) -> Lay
         raise NotTransitiveError("orientation is not transitive")
     succ = orientation.succ
     n = orientation.n
-    levels = [0] * n
     layers: list[tuple[int, ...]] = []
     unplaced = (1 << n) - 1
     flags = [1] * n  # flags[v] = 1 while v is unplaced
@@ -74,11 +72,10 @@ def greedy_layered_cover(orientation: Orientation, *, check: bool = True) -> Lay
             raise CyclicOrientationError("orientation contains a directed cycle")
         members = tuple(bits(layer))
         for v in members:
-            levels[v] = len(layers)
             flags[v] = 0
         layers.append(members)
         unplaced ^= layer
-    return LayeredCover(OrderedCliqueCover(tuple(layers)), tuple(levels))
+    return LayeredCover(OrderedCliqueCover(tuple(layers)))
 
 
 def extract_star_certificate(
@@ -88,10 +85,11 @@ def extract_star_certificate(
 
     Picks the lexicographically smallest (i, j, a, b) with a in layer i, b in
     layer j, ab an edge and j - i = W, then walks in-neighbors back from b
-    choosing the smallest vertex in each intermediate layer.
+    choosing the smallest vertex in each intermediate layer.  cover_width
+    measures W, and raises unless the layers are a clique cover of g.
     """
     layers = lc.cover.parts  # ascending within each layer
-    width = cover_width(g, lc.cover, checked=False)
+    width = cover_width(g, lc.cover)
     if width == 0:
         for u in range(g.n):
             for v in g.neighbors(u):
@@ -127,25 +125,20 @@ def extract_star_certificate(
     return cert
 
 
-def approximate_ccw(
-    g: Graph,
-    orientation: Orientation | None = None,
-    *,
-    check: bool = True,
-) -> ApproxResult:
+def approximate_ccw(g: Graph, orientation: Orientation | None = None) -> ApproxResult:
     """Two-sided clique cover width estimate on an incomparability graph.
 
-    upper is the greedy cover width W; lower is ceil((W+1)/2) - 1, from the
-    extracted star.  Guarantees lower <= CCW(g) <= upper and
-    upper <= 2 * CCW(g) + 1.  check verifies a passed-in orientation; one
-    found here needs no check.
+    upper is the greedy cover width W, read off the extracted star, which
+    has W + 1 leaves; lower is ceil((W+1)/2) - 1.  Guarantees
+    lower <= CCW(g) <= upper and upper <= 2 * CCW(g) + 1.  A passed-in
+    orientation is always checked; one found here needs no check.
     """
     if orientation is None:
+        # transitive, and exactly the complement's edges, by construction
         orientation = find_transitive_orientation(complement(g))
         if orientation is None:
             raise NotIncomparabilityError("complement admits no transitive orientation")
-        check = False  # transitive, and exactly the complement's edges, by construction
-    if orientation.n != g.n:
+    elif orientation.n != g.n:
         raise CertificateExtractionError(
             f"orientation has {orientation.n} vertices, the graph has {g.n}"
         )
@@ -154,21 +147,19 @@ def approximate_ccw(
     # transitive: that rules out loops, and so antiparallel pairs.  Only on
     # a failure is the complement built, so that wrong arcs are reported
     # before intransitive ones
-    succ = orientation.succ
-    if check and (
-        any(map(and_, succ, g.adj))
-        or sum(map(int.bit_count, succ)) != g.n * (g.n - 1) // 2 - g.edge_count()
+    elif (
+        any(map(and_, orientation.succ, g.adj))
+        or sum(map(int.bit_count, orientation.succ)) != g.n * (g.n - 1) // 2 - g.edge_count()
         or not verify_transitive(orientation)
     ):
         if orientation.underlying() != complement(g):
             raise CertificateExtractionError("orientation arcs are not exactly the complement's edges")
         raise NotTransitiveError("orientation is not transitive")
     lc = greedy_layered_cover(orientation, check=False)
-    upper = cover_width(g, lc.cover, checked=check)
     cert = extract_star_certificate(g, orientation, lc)
     leaves = cert.leaf_count
     lower = max(0, -(-leaves // 2) - 1)
-    return ApproxResult(lower, upper, lc.cover, cert)
+    return ApproxResult(lower, leaves - 1, lc.cover, cert)
 
 
 # ---------------------------------------------------------------------------

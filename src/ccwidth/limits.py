@@ -1,7 +1,8 @@
 """Resource caps: the vertex count of any graph, and the limits of the
 exponential-time exact searches.
 
-Every exact oracle takes a SearchLimits; exceeding any cap raises
+Every exact oracle takes a SearchLimits (a vertex cap and a time budget)
+and counts its nodes against NODE_BUDGET; exceeding any cap raises
 LimitExceededError rather than silently approximating.
 """
 
@@ -17,15 +18,20 @@ from .errors import InvalidArgumentError, LimitExceededError
 # an argument is rejected before anything of that size is allocated
 MAX_VERTICES = 1 << 24
 
+# the most nodes one exact search may expand
+NODE_BUDGET = 50_000_000
+
+# the most vertices on which `stats` runs the exact induced-star search
+STATS_STAR_MAX_N = 32
+
 
 @dataclass(frozen=True)
 class SearchLimits:
     max_n: int = 10
-    node_budget: int = 50_000_000
     time_budget_ms: int = 600_000
 
     def __post_init__(self):
-        if self.max_n <= 0 or self.node_budget <= 0 or self.time_budget_ms <= 0:
+        if self.max_n <= 0 or self.time_budget_ms <= 0:
             raise InvalidArgumentError("all search limits must be positive")
 
     def check_n(self, n: int) -> None:
@@ -39,7 +45,7 @@ class Budget:
     __slots__ = ("nodes_left", "deadline")
 
     def __init__(self, limits: SearchLimits):
-        self.nodes_left = limits.node_budget
+        self.nodes_left = NODE_BUDGET
         self.deadline = time.monotonic() + limits.time_budget_ms / 1000.0
 
     def tick(self, cost: int = 1) -> None:

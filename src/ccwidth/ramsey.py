@@ -10,6 +10,7 @@ gives s(g) < R(3, ..., 3, 4) with W-1 threes.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -51,18 +52,13 @@ def normalize_targets(targets) -> tuple[int, ...]:
     return tuple(t for t in ts if t > 2)
 
 
-_TABLE_CACHE: dict | None = None
+@functools.cache
+def _table() -> dict:
+    text = resources.files("ccwidth.data").joinpath("ramsey_table.json").read_text()
+    return json.loads(text)["values"]
 
 
-def _default_table() -> dict:
-    global _TABLE_CACHE
-    if _TABLE_CACHE is None:
-        text = resources.files("ccwidth.data").joinpath("ramsey_table.json").read_text()
-        _TABLE_CACHE = json.loads(text)["values"]
-    return _TABLE_CACHE
-
-
-def ramsey_lookup(targets, table: dict | None = None) -> RamseyAnswer:
+def ramsey_lookup(targets) -> RamseyAnswer:
     reduced = normalize_targets(targets)
     if 1 in targets:
         return RamseyAnswer("exact", 1, 1)
@@ -71,7 +67,7 @@ def ramsey_lookup(targets, table: dict | None = None) -> RamseyAnswer:
     if len(reduced) == 1:
         return RamseyAnswer("exact", reduced[0], reduced[0])
     key = ",".join(map(str, reduced))
-    entry = (table if table is not None else _default_table()).get(key)
+    entry = _table().get(key)
     if entry is None:
         return RamseyAnswer("unknown", max(reduced), None)
     if "exact" in entry:
@@ -79,13 +75,13 @@ def ramsey_lookup(targets, table: dict | None = None) -> RamseyAnswer:
     return RamseyAnswer("range", entry["lo"], entry["hi"])
 
 
-def star_bound_from_width(ccw: int, table: dict | None = None) -> RamseyAnswer:
+def star_bound_from_width(ccw: int) -> RamseyAnswer:
     """Ramsey answer bounding the induced-star size of a graph with the given
     clique cover width: targets are ccw-1 threes and one four, and the caller
     reads s(G) <= answer - 1."""
     if ccw < 1:
         raise InvalidArgumentError("clique cover width must be >= 1 for the star bound")
-    return ramsey_lookup((3,) * (ccw - 1) + (4,), table)
+    return ramsey_lookup((3,) * (ccw - 1) + (4,))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +198,7 @@ class IntersectionVerdict:
     answer: RamseyAnswer
 
 
-def check_intersection_bound(g: Graph, factors, table: dict | None = None) -> IntersectionVerdict:
+def check_intersection_bound(g: Graph, factors) -> IntersectionVerdict:
     """Check s(g) < R(s(H_1)+1, ..., s(H_d)+1) for g the intersection of the
     factors.  Untestable (passed=None) when the Ramsey value is not known
     exactly."""
@@ -223,7 +219,7 @@ def check_intersection_bound(g: Graph, factors, table: dict | None = None) -> In
     s_g, _ = largest_induced_star(g)
     factor_sizes = tuple(largest_induced_star(h)[0] for h in factors)
     targets = tuple(s + 1 for s in factor_sizes)
-    answer = ramsey_lookup(targets, table)
+    answer = ramsey_lookup(targets)
     if answer.kind != "exact":
         return IntersectionVerdict(False, None, s_g, factor_sizes, targets, answer)
     return IntersectionVerdict(True, s_g <= answer.value - 1, s_g, factor_sizes, targets, answer)

@@ -112,7 +112,7 @@ def test_criterion_3_observation_width_lower_bound():
         bound = ceil_half(s) - 1
         for cover in enumerate_ordered_covers(g):
             covers_checked += 1
-            if cover_width(g, cover, checked=False) < bound:
+            if cover_width(g, cover) < bound:
                 violations += 1
     elapsed = time.perf_counter() - started
     report(
@@ -131,7 +131,7 @@ def test_criterion_4_greedy_sandwich_suite():
         g, ghat = random_poset_graph(n, density, seed)
         if g.edge_count() == 0:
             continue
-        res = approximate_ccw(g, ghat, check=False)
+        res = approximate_ccw(g, ghat)
         s, _ = largest_induced_star(g)
         if not (s - 1 >= res.upper >= ceil_half(s) - 1):
             violations.append((seed, "sandwich"))

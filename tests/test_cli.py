@@ -141,6 +141,26 @@ def test_stats(capsys, k4_file):
     assert report["results"]["components"] == 1 and report["results"]["max_degree"] == 3
 
 
+@pytest.mark.parametrize("n", [32, 33])
+def test_stats_searches_for_stars_up_to_32_vertices(capsys, tmp_path, n):
+    path = tmp_path / "star.graph"
+    path.write_text(serialize_graph(star_graph(n - 1)))
+    code, report = run(capsys, ["stats", str(path)])
+    assert code == 0 and report["results"]["n"] == n
+    assert report["results"].get("star_leaves") == (n - 1 if n <= 32 else None)
+
+
+def test_exact_search_out_of_nodes_exits_3(capsys, monkeypatch, tmp_path):
+    from ccwidth import limits
+
+    monkeypatch.setattr(limits, "NODE_BUDGET", 3)
+    code = main(["--out", str(tmp_path), "ccw", ten_vertex_poset(tmp_path), "--exact"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in out + err
+    assert json.loads(out)["error"] == "search node budget exhausted"
+
+
 def test_report_stable_excluding_timing(capsys, k4_file, tmp_path):
     _, r1 = run(capsys, ["--out", str(tmp_path), "ccw", k4_file, "--exact"])
     _, r2 = run(capsys, ["--out", str(tmp_path), "ccw", k4_file, "--exact"])
@@ -338,6 +358,8 @@ def test_stdin_and_crlf_files_give_the_digest_of_the_lf_text(capsys, monkeypatch
     "argv",
     [
         ["ramsey", "--corollary", "0"],
+        ["ramsey", "3", "3", "--corollary", "2"],
+        ["ramsey", "--corollary", "1", "--verify-tiny"],
         ["--limits-n", "-1", "ccw", "{k4}", "--exact"],
         ["--limits-n", "0", "ccw", "{k4}", "--exact"],
         ["--limits-n", "0", "ccw", "{k4}", "--greedy"],
@@ -385,7 +407,7 @@ def test_orientation_vertex_count_must_match_the_graph(capsys, monkeypatch, tmp_
     argv = ["--out", str(tmp_path), "ccw", graph, "--greedy", "--orientation", str(ori)]
     for text in (json.dumps({"n": n, "arcs": []}), json.dumps({"n": n, "order": list(range(n))})):
         ori.write_text(text)
-        code, report = run(capsys, argv + ["--assume-transitive"])
+        code, report = run(capsys, argv)
         assert code == 4 and "vertices" in report["error"]
 
 
@@ -502,3 +524,22 @@ def test_negative_vertex_in_an_edge_list_file_exits_2(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert code == 2 and "Traceback" not in out + err
     assert json.loads(out)["error"] == "edge (-1,2) out of range for n=3"
+
+
+def test_an_orientation_without_the_complement_arcs_exits_4(capsys, tmp_path):
+    # P3's complement has the edge 0-2, which the empty arc list leaves out;
+    # layered unchecked, the arcs give the one layer {0, 1, 2}, no clique of P3
+    graph = tmp_path / "p3.graph"
+    graph.write_text("p 3 2\ne 0 1\ne 1 2\n")
+    ori = tmp_path / "o.json"
+    ori.write_text('{"arcs": [], "n": 3}')
+    argv = ["--out", str(tmp_path), "ccw", str(graph), "--greedy", "--orientation", str(ori)]
+    code, report = run(capsys, argv)
+    assert code == 4 and "error" in report and "upper" not in report["results"]
+    assert not (tmp_path / "greedy_cover.json").exists()
+    # no switch skips the check
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--assume-transitive"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "Traceback" not in out + err and "--assume-transitive" in err

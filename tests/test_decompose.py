@@ -194,3 +194,17 @@ def test_empty_graph_decomposition_survives_a_json_round_trip():
     d = decompose(g, make_cover([]))
     back = decomposition_from_json(decomposition_to_json(d))
     assert back == d and verify_decomposition(g, back).all_passed
+
+
+def test_block_cover_check_measures_the_blocks_once(monkeypatch):
+    from ccwidth import covers
+
+    c5 = cycle_graph(5)
+    d = decomposition_from_json(decomposition_to_json(decompose(c5, trivial_cover(c5))))
+    blocks = d.factors[-1].blocks
+    measured = []
+    real = covers.part_masks
+    monkeypatch.setattr(covers, "part_masks", lambda g, parts: measured.append(parts) or real(g, parts))
+    checks = verify_decomposition(c5, d).checks
+    assert [c.passed for c in checks if c.name == "e_block_cover"] == [True]
+    assert sum(parts is blocks.parts for parts in measured) == 1

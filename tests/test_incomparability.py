@@ -21,6 +21,7 @@ from ccwidth import (
     verify_transitive,
 )
 from ccwidth.errors import (
+    CCWidthError,
     CertificateExtractionError,
     CyclicOrientationError,
     NotIncomparabilityError,
@@ -135,6 +136,19 @@ def test_recognized_orientation_is_not_rechecked(monkeypatch):
     assert len(calls) == 1  # a passed-in orientation is still checked
 
 
+def test_one_part_masks_pass_per_greedy_run(monkeypatch):
+    from ccwidth import covers
+
+    calls = []
+    real = covers.part_masks
+    monkeypatch.setattr(covers, "part_masks", lambda g, parts: calls.append(1) or real(g, parts))
+    g, o = random_poset_graph(30, 0.2, 1)
+    for orientation in (o, None):
+        calls.clear()
+        approximate_ccw(g, orientation)
+        assert len(calls) == 1
+
+
 def test_approx_rejects_non_incomparability():
     with pytest.raises(NotIncomparabilityError):
         approximate_ccw(cycle_graph(5))
@@ -198,8 +212,9 @@ def test_order_and_arcs_files_give_the_same_orientation_and_result(n, density, s
 
 
 def ref_check(g, o):
-    """The check approximate_ccw(check=True) made before the O(n) one: the
-    arcs' underlying graph against the complement, then transitivity."""
+    """The check approximate_ccw made of a passed-in orientation before the
+    O(n) one: the arcs' underlying graph against the complement, then
+    transitivity."""
     if o.underlying() != complement(g):
         raise CertificateExtractionError("orientation arcs are not exactly the complement's edges")
     if not verify_transitive(o):
@@ -250,3 +265,37 @@ def edited_orientations(draw):
 def test_passed_in_orientation_check_matches_the_underlying_graph_check(case):
     g, o = case
     assert check_outcome(approximate_ccw, g, o) == check_outcome(ref_check, g, o)
+
+
+@st.composite
+def greedy_inputs(draw):
+    """A poset graph with its orientation, or a random graph with the
+    orientation of its complement by a random vertex order, or with a random
+    arc set."""
+    n = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["poset", "order", "arcs"]))
+    if kind == "poset":
+        return random_poset_graph(n, draw(st.sampled_from((0.0, 0.2, 0.5, 1.0))), draw(st.integers(0, 2**16)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = build_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    if kind == "order":
+        order = draw(st.permutations(range(n)))
+        return g, orientation_from_json(json.dumps({"n": n, "order": order}), g)
+    vertex = st.integers(0, max(n - 1, 0))
+    return g, Orientation.from_arcs(n, draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(greedy_inputs())
+def test_greedy_bounds_are_certified_for_any_passed_in_orientation(case):
+    g, o = case
+    try:
+        res = approximate_ccw(g, o)
+    except CCWidthError:
+        return
+    cert = res.witness_star
+    assert cover_width(g, res.witness_cover) == res.upper
+    # a graph with no vertices has no star: its certificate is degenerate
+    assert validate_star(g, cert) if g.n else cert.degenerate
+    assert cert.leaf_count == res.upper + 1
+    assert res.lower == max(0, -(-(res.upper + 1) // 2) - 1)

@@ -157,7 +157,7 @@ def test_ccw_remark_graph():
 def test_ccw_star_against_enumeration_oracle():
     g = star_graph(5)
     brute = min(
-        cover_width(g, c, checked=False) for c in enumerate_ordered_covers(g)
+        cover_width(g, c) for c in enumerate_ordered_covers(g)
     )
     width, cover = clique_cover_width_exact(g)
     assert width == brute == 2
@@ -184,7 +184,7 @@ def test_ccw_limit():
 @given(graphs(min_n=1, max_n=6))
 @settings(max_examples=40, deadline=None)
 def test_ccw_matches_enumeration(g):
-    brute = min(cover_width(g, c, checked=False) for c in enumerate_ordered_covers(g))
+    brute = min(cover_width(g, c) for c in enumerate_ordered_covers(g))
     width, cover = clique_cover_width_exact(g)
     assert width == brute
     assert validate_cover(g, cover).valid
