@@ -75,10 +75,7 @@ def _read_input(path: str) -> str:
 def _load_graph(args, report: dict):
     """The input graph; records its digest in the report once it parses."""
     text = _read_input(args.input)
-    fmt = args.format
-    if fmt == "auto":
-        fmt = "json" if text.lstrip().startswith("{") else "edge-list"
-    g = parse_graph(text, fmt)
+    g = parse_graph(text)
     report["input_digest"] = hashlib.sha256(text.encode()).hexdigest()
     return g
 
@@ -295,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccwidth", description="Clique cover width toolkit"
     )
-    parser.add_argument("--format", default="auto", choices=["auto", "edge-list", "json"])
     parser.add_argument("--limits-n", type=int, default=None, help="vertex cap for exact searches")
     parser.add_argument("--limits-time", type=int, default=None, help="time budget in ms")
     parser.add_argument("--seed", type=int, default=0)

@@ -207,66 +207,32 @@ def splice_json(obj, texts: Iterable[str]) -> str:
     return "".join(chain.from_iterable(zip(pieces, texts))) + pieces[-1]
 
 
-def _bit_block(v: int, n: int) -> Iterator[tuple]:
-    """(w, 1 << w) for the vertices w < n of v's block of 64."""
-    ws = range(v >> 6 << 6, min(n, (v | 63) + 1))
-    return zip(ws, map((1).__lshift__, ws))
-
-
 def pair_rows(n: int, pairs: Iterable[tuple[int, int]], what: str, *, undirected: bool) -> tuple[int, ...]:
     """rows[u] = mask of every v with a pair (u, v), and of every v with a
-    pair (v, u) too when undirected.  n outside 0..MAX_VERTICES, and the
-    first pair in input order with an endpoint outside 0..n-1, raise
-    IndexOutOfRangeError; when undirected, so does a self-loop, with
-    SelfLoopError.  A PairText goes to the kernel."""
+    pair (v, u) too when undirected.  n outside 0..MAX_VERTICES raises
+    IndexOutOfRangeError.  The first bad pair in input order raises: an
+    endpoint outside 0..n-1 IndexOutOfRangeError, a self-loop when
+    undirected SelfLoopError, an endpoint that is not an integer TypeError.
+    A PairText goes to the kernel; this loop serves only what it declines."""
     if n < 0:
         raise IndexOutOfRangeError("vertex count must be non-negative")
     if n > MAX_VERTICES:
         raise IndexOutOfRangeError(f"vertex count {n} is above {MAX_VERTICES}")
     if type(pairs) is PairText:
         return pairs.rows(n, undirected)
-    pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
-    # bit is a dict, so a vertex outside 0..n-1, negative ones too, raises
-    # KeyError instead of wrapping around; the undirected loop looks up both
-    # ends in it, the directed one keeps its rows in a dict to check u.  bit
-    # starts empty, so its memory follows the vertices named, not n: a
-    # vertex's first lookup misses, then its block of bits is made and its
-    # pair redone, which |= makes harmless
-    bit = {}
-    rows = [0] * n if undirected else dict.fromkeys(range(n), 0)
-    rest = todo = iter(pairs)
-    while True:
-        try:
+    rows = [0] * n
+    try:
+        for u, v in pairs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise IndexOutOfRangeError(f"{what} ({u},{v}) out of range for n={n}")
+            if undirected and u == v:
+                raise SelfLoopError(f"self-loop at vertex {u}")
+            rows[u] |= 1 << v
             if undirected:
-                for u, v in todo:
-                    rows[u] |= bit[v]
-                    rows[v] |= bit[u]
-            else:
-                for u, v in todo:
-                    rows[u] |= bit[v]
-        except KeyError as exc:
-            missed = exc.args[0]
-            if missed not in range(n) or int(missed) in bit:
-                break
-            bit.update(_bit_block(int(missed), n))
-            todo = ((u, v),)
-        except IndexError:
-            break
-        else:
-            if todo is not rest:
-                todo = rest
-                continue
-            rows = rows if undirected else list(rows.values())
-            if not (undirected and any(m >> v & 1 for v, m in enumerate(rows))):
-                return tuple(rows)
-            break
-    # a bad pair: find the first one
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRangeError(f"{what} ({u},{v}) out of range for n={n}")
-        if undirected and u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-    raise TypeError(f"{what} endpoints must be integers")
+                rows[v] |= 1 << u
+    except TypeError:
+        raise TypeError(f"{what} endpoints must be integers") from None
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +555,11 @@ def load_json(value, what: str, /, **shapes) -> dict:
     return value
 
 
-def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
-    if fmt == "json":
+def parse_graph(text: str) -> Graph:
+    """A JSON graph when the first non-blank character is "{", else an edge list."""
+    if text.lstrip().startswith("{"):
         return read_pair_json(text, _graph_from_json)
-    if fmt == "edge-list":
-        return _parse_edge_list(text)
-    raise ParseError(f"unknown graph format {fmt!r}")
+    return _parse_edge_list(text)
 
 
 def _graph_from_json(value) -> Graph:

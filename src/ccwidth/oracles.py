@@ -54,8 +54,8 @@ class StarCertificate:
 
 def validate_star(g: Graph, cert: StarCertificate) -> bool:
     """Check the induced-star invariants: center adjacent to every leaf,
-    leaves pairwise non-adjacent, center not a leaf."""
-    if cert.center in cert.leaves:
+    leaves pairwise non-adjacent, center not a leaf, all of them vertices of g."""
+    if cert.center in cert.leaves or not all(0 <= v < g.n for v in (cert.center, *cert.leaves)):
         return False
     lm = mask_of(cert.leaves)
     if g.adj[cert.center] & lm != lm:

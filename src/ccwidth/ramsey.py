@@ -22,6 +22,7 @@ from .errors import (
     NotAnIntersectionError,
 )
 from .graphs import Graph, build_graph, complement
+from .limits import MAX_VERTICES
 from .oracles import largest_induced_star
 
 
@@ -78,9 +79,10 @@ def ramsey_lookup(targets) -> RamseyAnswer:
 def star_bound_from_width(ccw: int) -> RamseyAnswer:
     """Ramsey answer bounding the induced-star size of a graph with the given
     clique cover width: targets are ccw-1 threes and one four, and the caller
-    reads s(G) <= answer - 1."""
-    if ccw < 1:
-        raise InvalidArgumentError("clique cover width must be >= 1 for the star bound")
+    reads s(G) <= answer - 1.  A width of MAX_VERTICES or more, which no
+    graph the tool reads can have, is rejected before the targets are built."""
+    if not 1 <= ccw < MAX_VERTICES:
+        raise InvalidArgumentError(f"clique cover width must be in 1..{MAX_VERTICES - 1} for the star bound")
     return ramsey_lookup((3,) * (ccw - 1) + (4,))
 
 

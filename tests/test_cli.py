@@ -8,6 +8,7 @@ import pytest
 from ccwidth.cli import main
 from ccwidth.generators import complete_graph, grid_graph, star_graph
 from ccwidth.graphs import serialize_graph
+from ccwidth.limits import MAX_VERTICES
 
 
 @pytest.fixture()
@@ -127,6 +128,13 @@ def test_ramsey_corollary(capsys):
     code, report = run(capsys, ["ramsey", "--corollary", "2"])
     assert code == 0
     assert report["results"]["ramsey"] == 9 and report["results"]["star_bound"] == 8
+
+
+@pytest.mark.parametrize("width", [10**21, MAX_VERTICES])
+def test_ramsey_corollary_rejects_a_width_no_graph_can_have(capsys, width):
+    # its targets, width - 1 threes, would take gigabytes or overflow
+    code, report = run(capsys, ["ramsey", "--corollary", str(width)])
+    assert code == 2 and "clique cover width must be in" in report["error"]
 
 
 def test_ramsey_verify_tiny(capsys):
@@ -280,7 +288,7 @@ def ten_vertex_poset(tmp_path):
         # an integer past the interpreter's 4,300-digit limit, and nesting past its recursion limit
         pytest.param("graph", '{"edges": [], "n": ' + "9" * 5000 + "}", id="graph-5000-digit-n"),
         pytest.param("cover", '{"parts": [[' + "9" * 5000 + "]]}", id="cover-5000-digit-vertex"),
-        pytest.param("json", "[" * 100_000, id="json-100000-nested-lists"),
+        pytest.param("cover", "[" * 100_000, id="json-100000-nested-lists"),
         # vertex counts far past MAX_VERTICES, rejected before anything of that size is allocated
         pytest.param("graph", '{"edges": [], "n": ' + str(10**30) + "}", id="graph-n-10^30"),
         pytest.param("graph", "p 1000000000000 0\n", id="edge-list-n-10^12"),
@@ -301,7 +309,6 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, kind, text):
     graph = ten_vertex_poset(tmp_path)
     argv = {
         "graph": ["parse", str(bad)],
-        "json": ["--format", "json", "parse", str(bad)],
         "cover": ["decompose", graph, "--cover", str(bad)],
         "orientation": ["ccw", graph, "--greedy", "--orientation", str(bad)],
         "decomposition": ["verify", graph, "--decomposition", str(bad)],
@@ -489,7 +496,7 @@ def test_main_reuses_one_parser_and_keeps_no_state_between_calls(capsys, tmp_pat
     runs = [
         ["--out", out, "--limits-n", "4", "ccw", g, "--exact"],
         ["--out", out, "ccw", g, "--exact"],
-        ["--format", "edge-list", "stats", g],
+        ["stats", g],
         ["--out", out, "decompose", g, "--cover", c, "--verify"],
         ["parse", g, "--to", "dot"],
         ["parse", g],

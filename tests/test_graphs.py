@@ -65,8 +65,15 @@ def test_parse_edge_list():
 
 
 def test_parse_json():
-    g = parse_graph('{"n":4,"edges":[[0,1]]}', "json")
+    g = parse_graph('{"n":4,"edges":[[0,1]]}')
     assert g.n == 4 and g.edges() == [(0, 1)]
+
+
+def test_parse_picks_the_format_by_the_first_non_blank_character():
+    assert parse_graph(' \n\t{"n": 2, "edges": [[0, 1]]}') == build_graph(2, [(0, 1)])
+    with pytest.raises(ParseError, match="unknown line type") as exc:
+        parse_graph('[{"n": 2, "edges": []}]')
+    assert exc.value.line == 1
 
 
 def test_parse_out_of_range():
@@ -101,7 +108,7 @@ def test_round_trip_edge_list(g):
 
 @given(graphs())
 def test_round_trip_json(g):
-    assert parse_graph(serialize_graph(g, "json"), "json") == g
+    assert parse_graph(serialize_graph(g, "json")) == g
 
 
 @given(graphs())

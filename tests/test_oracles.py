@@ -9,6 +9,7 @@ from hypothesis.strategies import composite
 from ccwidth import (
     OrderedCliqueCover,
     Orientation,
+    StarCertificate,
     bandwidth_exact,
     build_graph,
     clique_cover_width_exact,
@@ -82,6 +83,15 @@ def test_star_certificate_validates():
         size, cert = largest_induced_star(g)
         assert validate_star(g, cert)
         assert len(cert.leaves) == size
+
+
+def test_star_certificate_with_a_vertex_outside_the_graph_is_invalid():
+    p3 = path_graph(3)  # 0-1-2: adj[-1] would read vertex 2's row
+    assert validate_star(p3, StarCertificate(1, (0, 2)))
+    assert not validate_star(p3, StarCertificate(-1, (1,)))
+    assert not validate_star(p3, StarCertificate(1, (0, -2)))
+    assert not validate_star(p3, StarCertificate(1, (0, 3)))
+    assert not validate_star(build_graph(0, ()), StarCertificate(-1, ()))
 
 
 def ref_max_independent_set(adj, mask):

@@ -219,6 +219,12 @@ def ref_parse_json_graph(text):
     return build_graph(obj["n"], obj["edges"])
 
 
+def ref_parse_graph(text):
+    """The JSON reference when the first non-blank character is "{", else
+    the edge-list one: a mutated JSON text may no longer be JSON."""
+    return (ref_parse_json_graph if text.lstrip().startswith("{") else ref_parse_edge_list)(text)
+
+
 def ref_orientation_from_arcs_json(text, g):
     """The arcs branch of orientation_from_json, which reads json.loads(text)
     and refuses a file for another vertex count than g's before it reads the
@@ -417,6 +423,26 @@ def test_build_graph_reports_the_first_bad_pair(pairs, error, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "build, pairs, error, message",
+    [
+        (build_graph, [(0, "a")], TypeError, "edge endpoints must be integers"),
+        (build_graph, [(0, 1.5), (0, 9)], TypeError, "edge endpoints must be integers"),
+        (build_graph, [(0, 9), (0, 1.5)], IndexOutOfRangeError, "edge (0,9) out of range for n=3"),
+        (build_graph, [(None, 0), (1, 1)], TypeError, "edge endpoints must be integers"),
+        (build_graph, [(1, 1), (None, 0)], SelfLoopError, "self-loop at vertex 1"),
+        (Orientation.from_arcs, [(1.0, 2)], TypeError, "arc endpoints must be integers"),
+        (Orientation.from_arcs, [(1, 1), ("a", 0), (0, 9)], TypeError, "arc endpoints must be integers"),
+        (Orientation.from_arcs, [(0, 9), ("a", 0)], IndexOutOfRangeError, "arc (0,9) out of range for n=3"),
+    ],
+)
+def test_a_non_integer_endpoint_raises_type_error_in_input_order(build, pairs, error, message):
+    # the first bad pair wins, whatever is wrong with it
+    with pytest.raises(error) as exc:
+        build(3, pairs)
+    assert str(exc.value) == message
+
+
 def test_from_arcs_rejects_negative_vertices_and_keeps_loops():
     with pytest.raises(IndexOutOfRangeError, match=r"arc \(-1,0\) out of range for n=2"):
         Orientation.from_arcs(2, [(0, 0), (-1, 0)])
@@ -557,7 +583,7 @@ def test_edge_list_reader_peak_memory_stays_under_ten_times_the_text():
     "read",
     [
         lambda: parse_graph("p 40000 0"),
-        lambda: parse_graph('{"n": 40000, "edges": []}', "json"),
+        lambda: parse_graph('{"n": 40000, "edges": []}'),
         lambda: orientation_from_json('{"n": 40000, "arcs": []}', Graph(40000, (0,) * 40000)),
         lambda: parse_graph("p 40000 1\ne 0 39999\n"),
     ],
@@ -708,7 +734,7 @@ def test_json_graph_and_arcs_readers_match_the_reference(g, o, data):
     arcs = mutated_json(data, ref_orientation_to_json(o), o.n)
     edgeless = Graph(o.n, (0,) * o.n)  # the arcs reader uses only the graph's vertex count
     with pair_chunk(data.draw(st.sampled_from(CHUNKS))):
-        assert outcome_of(parse_graph, text, "json") == outcome_of(ref_parse_json_graph, text)
+        assert outcome_of(parse_graph, text) == outcome_of(ref_parse_graph, text)
         expected = outcome_of(ref_orientation_from_arcs_json, arcs, edgeless)
         assert outcome_of(orientation_from_json, arcs, edgeless) == expected
 
@@ -778,7 +804,7 @@ def test_json_kernel_reads_only_the_writers_form(text, least_chunk):
     for size in CHUNKS:
         seen = []
         with pair_chunk(size):
-            assert outcome_of(parse_graph, text, "json") == outcome_of(ref_parse_json_graph, text)
+            assert outcome_of(parse_graph, text) == outcome_of(ref_parse_json_graph, text)
             outcome_of(read_pair_json, text, lambda value: seen.append(type(value)) or ref_parse_json_graph(value))
         assert (seen == [dict]) == (least_chunk is not None and size >= least_chunk), seen
 
@@ -802,7 +828,7 @@ def test_canonical_json_with_a_large_n_and_no_pairs_stays_small(key):
     # the pair matrix of n = 5000 would take 25 MB for a 25-byte text
     text = json.dumps({key: [], "n": 5000}, sort_keys=True)
     edgeless = Graph(5000, (0,) * 5000)
-    read = {"edges": lambda: parse_graph(text, "json"), "arcs": lambda: orientation_from_json(text, edgeless)}
+    read = {"edges": lambda: parse_graph(text), "arcs": lambda: orientation_from_json(text, edgeless)}
     tracemalloc.start()
     try:
         read[key]()
@@ -930,7 +956,7 @@ def test_dense_edge_list_reader_matches_the_kernel_and_the_reference(g, data):
 @given(near_complete_graphs(max_n=40), st.data())
 def test_dense_json_reader_matches_the_kernel_and_the_reference(g, data):
     text = mutated_json(data, serialize_graph(g, "json"), g.n)
-    assert outcome_of(parse_graph, text, "json") == outcome_of(ref_parse_json_graph, text)
+    assert outcome_of(parse_graph, text) == outcome_of(ref_parse_graph, text)
     pairs = mutated_json(data, "[" + ref_pairs_text(g.upper(), *kernel.JSON_PAIR) + "]", g.n)
     upper = matched(pairs, g.n, kernel.JSON_PAIR, 1, len(pairs) - 1)
     if upper is not None:
@@ -1001,7 +1027,7 @@ def test_a_list_at_the_density_switch_takes_the_dense_path_and_one_past_it_the_k
     monkeypatch.setattr(kernel.RowText, "read", lambda *args: calls.append(1) or real(*args))
     text = serialize_graph(g, fmt)
     reference = ref_parse_edge_list if fmt == "edge-list" else ref_parse_json_graph
-    assert parse_graph(text, fmt) == g == reference(text)
+    assert parse_graph(text) == g == reference(text)
     assert calls == ([1] if extra == 0 else [])
 
 
