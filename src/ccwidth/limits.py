@@ -1,9 +1,11 @@
 """Resource caps: the vertex count of any graph, and the limits of the
 exponential-time exact searches.
 
-Every exact oracle takes a SearchLimits (a vertex cap and a time budget)
-and counts its nodes against NODE_BUDGET; exceeding any cap raises
-LimitExceededError rather than silently approximating.
+Every exact oracle but the induced-star search takes a SearchLimits (a
+vertex cap and a time budget) and counts its nodes against NODE_BUDGET;
+exceeding any cap raises LimitExceededError rather than silently
+approximating.  The induced-star search takes no limits: `stats` caps it
+at STATS_STAR_MAX_N vertices, and `star` runs it uncapped.
 """
 
 from __future__ import annotations
@@ -46,23 +48,23 @@ class Budget:
 
     def __init__(self, limits: SearchLimits):
         self.nodes_left = NODE_BUDGET
-        self.deadline = time.monotonic() + limits.time_budget_ms / 1000.0
+        self.deadline = time.monotonic_ns() + limits.time_budget_ms * 1_000_000
 
     def tick(self, cost: int = 1) -> None:
         self.nodes_left -= cost
         if self.nodes_left <= 0:
             raise LimitExceededError("search node budget exhausted")
-        # monotonic() is cheap but not free; only poll occasionally
+        # monotonic_ns() is cheap but not free; only poll occasionally
         if self.nodes_left % 4096 == 0:
             self.poll()
 
     def poll(self) -> None:
         """Raise once the time budget is spent: tick calls this every 4,096
         nodes, a search that does work between ticks calls it itself."""
-        if time.monotonic() > self.deadline:
+        if time.monotonic_ns() > self.deadline:
             raise LimitExceededError("search time budget exhausted")
 
 
 BANDWIDTH_LIMITS = SearchLimits(max_n=12)
 CCW_LIMITS = SearchLimits(max_n=19)
-UDIM_LIMITS = SearchLimits(max_n=7)
+UDIM_LIMITS = SearchLimits(max_n=10)

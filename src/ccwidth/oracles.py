@@ -468,16 +468,13 @@ def unit_intersection_dimension(g: Graph, limits: SearchLimits = UDIM_LIMITS) ->
     g: missing within-part pairs become added edges of H).  The maximal set
     of g-non-edges such an H can exclude is exactly the pairs split across
     different parts of L, so minimizing d is an exact set cover of the
-    non-edges by the "split by L" sets over all admissible L.  That set
-    depends only on the blocks of L, so each set partition is tested once:
-    g is connected, so the blocks' quotient graph is connected, and an
-    order of width <= 1 exists iff that quotient is a path (k - 1 edges,
-    no block meeting more than two others).
+    non-edges by the "split by L" sets over all admissible L.
 
-    The partitions are built vertex by vertex as lists of block masks.
-    Tables over all 2^n vertex masks, made once per call, give a block's
-    neighbours, for the path test, and the non-edges inside it: the
-    partition splits every non-edge that no block holds.
+    The admissible L are walked depth first, block by block: the unplaced
+    neighbours of B_j must go into B_j+1, so B_j+1 is that forced set plus
+    any subset of the other unplaced vertices.  g is connected, so the
+    forced set is empty only once every vertex is placed, and every branch
+    ends in an admissible L.  The walk ticks the budget once per block.
     """
     limits.check_n(g.n)
     if not is_connected(g):
@@ -490,40 +487,35 @@ def unit_intersection_dimension(g: Graph, limits: SearchLimits = UDIM_LIMITS) ->
     for k, (u, v) in enumerate(nonedges):
         at[u] |= 1 << k
         at[v] |= 1 << k
-    # per vertex mask s: the non-edges inside s, those touching s, and the neighbours of s outside s
-    inside, touch, outside = [0] * (1 << g.n), [0] * (1 << g.n), [0] * (1 << g.n)
-    for s in range(1, 1 << g.n):
-        v = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        inside[s] = inside[rest] | at[v] & touch[rest]
-        touch[s] = touch[rest] | at[v]
-        outside[s] = (outside[rest] | g.adj[v]) & ~s
-
-    partitions = [[]]  # the set partitions of the first v vertices, as lists of block masks
-    for v in range(g.n):  # v joins one of the blocks, or starts one of its own
-        b = 1 << v
-        joined = [p[:i] + [p[i] | b] + p[i + 1:] for p in partitions for i in range(len(p))]
-        partitions = joined + [p + [b] for p in partitions]
+    budget = Budget(limits)
     coverage: set[int] = set()
-    for blocks in partitions:
-        ends = 0  # the quotient's edges, counted at both ends
-        for pm in blocks:
-            out = outside[pm]
-            degree = 0
-            for c in blocks:
-                if c & out:
-                    degree += 1
-            if degree > 2:
+    # per entry: the unplaced vertices, those forced into the next block, the non-edges inside placed blocks
+    stack = [(g.full_mask(), 0, 0)]
+    while stack:
+        unplaced, forced, inside = stack.pop()
+        free = unplaced & ~forced
+        s = free
+        while True:  # the next block is forced | s, for every s within free
+            block = forced | s
+            if block:
+                budget.tick()
+                within, touch = inside, 0
+                for v in bits(block):
+                    within |= at[v] & touch
+                    touch |= at[v]
+                rest = unplaced & ~block
+                if rest:
+                    stack.append((rest, reduce(or_, compress(g.adj, selector(block))) & rest, within))
+                else:
+                    coverage.add(full & ~within)
+            if not s:
                 break
-            ends += degree
-        else:
-            if ends == 2 * (len(blocks) - 1):
-                coverage.add(full & ~reduce(or_, map(inside.__getitem__, blocks)))
+            s = (s - 1) & free
 
     masks = _maximal_masks(coverage)
     if full in masks:
         return 1
-    return _min_set_cover(masks, full)
+    return _min_set_cover(masks, full, budget)
 
 
 def _maximal_masks(masks: set[int]) -> list[int]:
@@ -535,9 +527,9 @@ def _maximal_masks(masks: set[int]) -> list[int]:
     return keep
 
 
-def _min_set_cover(masks: list[int], full: int) -> int:
+def _min_set_cover(masks: list[int], full: int, budget: Budget) -> int:
     """Exact minimum set cover by branch and bound on the least-covered
-    element."""
+    element, ticking the budget once per node expanded."""
     by_element: dict[int, list[int]] = {}
     for k in bits(full):
         covering = [m for m in masks if m >> k & 1]
@@ -553,6 +545,7 @@ def _min_set_cover(masks: list[int], full: int) -> int:
         if uncovered == 0:
             best = used
             continue
+        budget.tick()
         pick = min(bits(uncovered), key=lambda k: len(by_element[k]))
         stack.extend((uncovered & ~m, used + 1) for m in reversed(by_element[pick]))
     return best

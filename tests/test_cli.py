@@ -169,6 +169,16 @@ def test_exact_search_out_of_nodes_exits_3(capsys, monkeypatch, tmp_path):
     assert json.loads(out)["error"] == "search node budget exhausted"
 
 
+def test_huge_time_budget_runs_the_search(capsys, tmp_path):
+    # a 401-digit budget in ms, far past any float
+    path = tmp_path / "p3.graph"
+    path.write_text("p 3 2\ne 0 1\ne 1 2\n")
+    code = main(["--out", str(tmp_path), "--limits-time", "9" * 401, "ccw", str(path), "--exact"])
+    out, err = capsys.readouterr()
+    assert code == 0 and "Traceback" not in out + err
+    assert json.loads(out)["results"]["ccw"] == 1
+
+
 def test_report_stable_excluding_timing(capsys, k4_file, tmp_path):
     _, r1 = run(capsys, ["--out", str(tmp_path), "ccw", k4_file, "--exact"])
     _, r2 = run(capsys, ["--out", str(tmp_path), "ccw", k4_file, "--exact"])

@@ -611,6 +611,18 @@ def test_udim_below_ccw():
             continue
         assert is_connected(g)
         assert unit_intersection_dimension(g) <= clique_cover_width_exact(g)[0]
+    # 36 graphs at n = 8-10: each has Udim = CCW (1 for (8, 0.2, 0), else 2)
+    for n in (8, 9, 10):
+        for density in (0.2, 0.35, 0.5):
+            for seed in range(4):
+                g = random_connected_graph(n, density, seed)
+                assert unit_intersection_dimension(g) <= clique_cover_width_exact(g)[0]
+
+
+def test_udim_obeys_the_time_budget():
+    # about 42,000 ticks, most of them in the set cover; the clock is polled every 4,096
+    with pytest.raises(LimitExceededError, match="time budget"):
+        unit_intersection_dimension(star_graph(9), SearchLimits(max_n=10, time_budget_ms=1))
 
 
 def _set_partitions(n: int):
@@ -653,7 +665,7 @@ def ref_unit_intersection_dimension(g):
             coverage.add(sum(1 << k for k, (u, v) in enumerate(nonedges) if part_of[u] != part_of[v]))
     masks = _maximal_masks(coverage)
     full = (1 << len(nonedges)) - 1
-    return 1 if full in masks else _min_set_cover(masks, full)
+    return 1 if full in masks else _min_set_cover(masks, full, Budget(SearchLimits()))
 
 
 def connected_labelled_graphs(n):
@@ -674,3 +686,60 @@ def test_udim_matches_permutation_reference_up_to_five_vertices():
 def test_udim_matches_permutation_reference_at_six_and_seven(g):
     if is_connected(g):
         assert unit_intersection_dimension(g) == ref_unit_intersection_dimension(g)
+
+
+def ref_quotient_path_udim(g):
+    """The oracle the admissible-partition walk replaced: every set
+    partition of V, listed vertex by vertex as lists of block masks, kept
+    when its quotient graph is a path (k - 1 edges, no degree above 2), with
+    tables over all 2^n vertex masks for each block's outside neighbours and
+    the non-edges inside it."""
+    nonedges = complement(g).edges()
+    if not nonedges:
+        return 1
+    full = (1 << len(nonedges)) - 1
+    at = [0] * g.n
+    for k, (u, v) in enumerate(nonedges):
+        at[u] |= 1 << k
+        at[v] |= 1 << k
+    inside, touch, outside = [0] * (1 << g.n), [0] * (1 << g.n), [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        v = (s & -s).bit_length() - 1
+        rest = s & (s - 1)
+        inside[s] = inside[rest] | at[v] & touch[rest]
+        touch[s] = touch[rest] | at[v]
+        outside[s] = (outside[rest] | g.adj[v]) & ~s
+    partitions = [[]]
+    for v in range(g.n):
+        b = 1 << v
+        joined = [p[:i] + [p[i] | b] + p[i + 1:] for p in partitions for i in range(len(p))]
+        partitions = joined + [p + [b] for p in partitions]
+    coverage = set()
+    for blocks in partitions:
+        degrees = [sum(1 for c in blocks if c & outside[pm]) for pm in blocks]
+        if max(degrees) <= 2 and sum(degrees) == 2 * (len(blocks) - 1):
+            split = full
+            for pm in blocks:
+                split &= ~inside[pm]
+            coverage.add(split)
+    masks = _maximal_masks(coverage)
+    return 1 if full in masks else _min_set_cover(masks, full, Budget(SearchLimits()))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path_graph(8),
+        path_graph(10),
+        cycle_graph(9),
+        cycle_graph(10),
+        star_graph(7),
+        random_connected_graph(8, 0.2, 3),
+        random_connected_graph(9, 0.5, 1),
+        random_connected_graph(10, 0.2, 1),
+        random_connected_graph(10, 0.2, 2),
+        random_connected_graph(10, 0.5, 0),
+    ],
+)
+def test_udim_matches_quotient_path_reference_at_eight_to_ten(g):
+    assert unit_intersection_dimension(g) == ref_quotient_path_udim(g)
