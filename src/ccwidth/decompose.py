@@ -234,21 +234,18 @@ def verify_decomposition(g: Graph, d: Decomposition) -> DecompositionReport:
 
 def decomposition_to_json(d: Decomposition) -> str:
     factors = []
-    rows = []  # of each pair list, in the order their holes appear: sorted keys put "graph" before "orientation"
     for f in d.factors:
         factors.append(
             {
                 "graph": {"n": f.graph.n, "edges": HOLE},
                 "kind": f.kind,
                 "bipartition": f.bipartition or None,
-                "orientation": {"n": f.orientation.n, "arcs": HOLE} if f.orientation else None,
+                "orientation": {"n": f.orientation.n, "arcs": f.orientation.arcs} if f.orientation else None,
                 "blocks": f.blocks.parts if f.blocks else None,
             }
         )
-        rows.append(f.graph.upper())
-        if f.orientation:
-            rows.append(f.orientation.succ)
-    return splice_json({"cover": d.source_cover.parts, "factors": factors}, pair_lists(rows))
+    edges = pair_lists(f.graph.upper() for f in d.factors)
+    return splice_json({"cover": d.source_cover.parts, "factors": factors}, edges)
 
 
 def _lists_or_none(x) -> bool:

@@ -4,10 +4,10 @@ Vertices are 0..n-1.  Adjacency is stored as one Python int bitmask per
 vertex, which keeps set algebra (common neighborhoods, masks of unplaced
 vertices, edge-set intersection across graphs) down to single integer ops.
 Pair lists and their text are read off the rows with C-level iteration over
-each row's bit string (`selector`), not with a Python step per pair.  Pair
+each row's bit string (`selector`), not with a Python step per pair.  Edge
 text is read back the same way: a chunk at a time into an n*n byte matrix,
 whose rows and columns become the masks (`bit_matrix_lines`).  Near-complete
-pair lists skip both: their rows are cut out of, and matched against, the
+edge lists skip both: their rows are cut out of, and matched against, the
 text of K_n's rows (`RowText`), with Python steps per run of missing pairs.
 """
 
@@ -94,19 +94,18 @@ class RowText:
         return made
 
     def text(self, rows: Sequence[int]) -> str:
-        """The text of every pair (u, v) with bit v set in rows[u], sorted,
-        with no (u, v) tuple made: a row is its selected tails joined with
-        its head, or, when at most 1/DENSE of the pairs above u are
-        missing, the slices of its complete row between them."""
+        """The text of every pair (u, v) with bit v set in rows[u], which
+        holds only v > u, sorted, with no (u, v) tuple made: a row is its
+        selected tails joined with its head, or, when at most 1/DENSE of the
+        pairs above u are missing, the slices of its complete row between them."""
         n, sep, heads, tails, made = self.n, self.sep, self.heads, self.tails, self.rows
         full = (1 << n) - 1
         out = []  # runs of pairs, joined by sep within rows as between them
         for u, m in enumerate(rows):
             if not m:
                 continue
-            low = (2 << u) - 1
-            gaps = full & ~low & ~m
-            if m & low or m > full or gaps.bit_count() * DENSE > n - u - 1:
+            gaps = (full ^ m) >> u + 1 << u + 1
+            if gaps.bit_count() * DENSE > n - u - 1:
                 h = heads[u]
                 out.append(h + (sep + h).join(compress(tails, selector(m))))
                 continue
@@ -170,15 +169,6 @@ class RowText:
         return rows if p == hi else None
 
 
-def _near_complete(n: int, length: int, head: str, tail: str, sep: str) -> bool:
-    """Whether pair text of this length on n vertices is at least 1 - 1/DENSE
-    of K_n's in that template, whose length needs only n."""
-    pairs = n * (n - 1) // 2
-    digits = len("".join(map(str, range(n))))  # each vertex is in n - 1 pairs
-    full = (n - 1) * digits + pairs * (len(head) + len(tail) - 4 + len(sep)) - len(sep)
-    return pairs > 0 and DENSE * length >= (DENSE - 1) * full
-
-
 def transpose(rows: Sequence[int]) -> list[int]:
     """The columns of the square bit matrix with these rows: bit u of
     column v is bit v of rows[u]."""
@@ -213,13 +203,14 @@ def pair_rows(n: int, pairs: Iterable[tuple[int, int]], what: str, *, undirected
     IndexOutOfRangeError.  The first bad pair in input order raises: an
     endpoint outside 0..n-1 IndexOutOfRangeError, a self-loop when
     undirected SelfLoopError, an endpoint that is not an integer TypeError.
-    A PairText goes to the kernel; this loop serves only what it declines."""
+    A PairText goes to the kernel; this loop serves arc lists and what the
+    kernel declines."""
     if n < 0:
         raise IndexOutOfRangeError("vertex count must be non-negative")
     if n > MAX_VERTICES:
         raise IndexOutOfRangeError(f"vertex count {n} is above {MAX_VERTICES}")
     if type(pairs) is PairText:
-        return pairs.rows(n, undirected)
+        return pairs.rows(n)
     rows = [0] * n
     try:
         for u, v in pairs:
@@ -253,13 +244,13 @@ def bit_matrix_lines(matrix, n: int, transpose: bool = False) -> list[int]:
     return [int(matrix[k * a:k * a + n * b:b], 2) for k in range(n)][::-1]
 
 
-def _read_pairs(n: int, chunks: Iterable, head: str, tail: str, undirected: bool):
-    """(rows, pair count) for the pairs of tokens (head.format(u),
+def _read_pairs(n: int, chunks: Iterable, head: str, tail: str):
+    """(rows, pair count) of the undirected pairs of tokens (head.format(u),
     tail.format(v)) that the chunks yield as (heads, tails) lists.  Each
     pair sets a "1" in a bit matrix laid out for bit_matrix_lines, a head
     naming its row as a memoryview and a tail its column; rows are row |
-    column when undirected.  None when a chunk is None, a token names no
-    vertex below n, or an undirected pair is a self-loop."""
+    column.  None when a chunk is None, a token names no vertex below n, or
+    a pair is a self-loop."""
     matrix = bytearray(b"0" * (n * n))
     lines = memoryview(matrix)
     # row u starts at (n-1-u)*n and column v sits n-1-v into each row
@@ -275,19 +266,16 @@ def _read_pairs(n: int, chunks: Iterable, head: str, tail: str, undirected: bool
         except KeyError:
             return None
         count += len(us)
-    if not undirected:
-        return tuple(bit_matrix_lines(matrix, n)), count
     if matrix[::n + 1].count(b"1"):
         return None
     return tuple(map(or_, bit_matrix_lines(matrix, n), bit_matrix_lines(matrix, n, True))), count
 
 
-def _edge_line_chunks(text: str, lo: int) -> Iterator:
-    """(u names, v names) of the `e u v` lines from lo to the end of text, a
-    chunk of whole lines at a time; None for a chunk that is not exactly
-    such lines.  A chunk and an extra "e", split at spaces, reads
-    e, u, "v\ne", u, "v\ne", ... with every token known."""
-    end = len(text)
+def _edge_line_chunks(text: str, lo: int, end: int) -> Iterator:
+    """(u names, v names) of the `e u v` lines of text[lo:end], a chunk of
+    whole lines at a time; None for a chunk that is not exactly such lines.
+    A chunk and an extra "e", split at spaces, reads e, u, "v\ne", u,
+    "v\ne", ... with every token known."""
     while lo < end:
         hi = end if end - lo <= PAIR_CHUNK else text.rfind("\n", lo, lo + PAIR_CHUNK) + 1
         tokens = (text[lo:hi] + "e").split(" ")
@@ -298,11 +286,10 @@ def _edge_line_chunks(text: str, lo: int) -> Iterator:
         lo = hi
 
 
-def _json_pair_chunks(text: str) -> Iterator:
-    """(u names, v names) of a JSON pair list written `[[u, v], [u, v]]`, a
-    chunk of whole pairs at a time; None for a chunk in any other form.  A
+def _json_pair_chunks(text: str, lo: int, end: int) -> Iterator:
+    """(u names, v names) of the JSON pairs `[u, v], [u, v]` in text[lo:end],
+    a chunk of whole pairs at a time; None for a chunk in any other form.  A
     chunk ending in "], ", split at spaces, reads "[u,", "v],", ..., ""."""
-    lo, end = 1, len(text) - 1
     while lo < end:
         hi = end if end - lo <= PAIR_CHUNK else text.rfind("], ", lo, lo + PAIR_CHUNK) + 3
         tokens = (text[lo:hi] + (", " if hi == end else "")).split(" ")
@@ -311,6 +298,33 @@ def _json_pair_chunks(text: str) -> Iterator:
             return
         yield tokens[0::2], tokens[1::2]
         lo = hi
+
+
+# the writers' pair template, and the kernel's chunks and (head, tail) tokens for it
+EDGE_FORM = (EDGE_PAIR, _edge_line_chunks, ("{}", "{}\ne"))
+JSON_FORM = (JSON_PAIR, _json_pair_chunks, ("[{},", "{}],"))
+
+
+def _read_rows(text: str, lo: int, hi: int, n: int, size: int, form, tables: dict[int, RowText] | None = None):
+    """(rows, pair count) of the edge list text[lo:hi] on n vertices in
+    form, or None if it is not in the writers' form or its n*n pair matrix
+    exceeds MATRIX_ROOM bytes per character of its size-character document.
+    A near-complete list is matched against K_n's rows, in the RowText for
+    n from tables, which a document's lists share, or else in one that
+    keeps no row; any other, or one the match declines, goes to the kernel."""
+    (head, tail, sep), chunks, tokens = form
+    if n < 0 or n * n > MATRIX_ROOM * size:
+        return None
+    pairs = n * (n - 1) // 2
+    digits = len("".join(map(str, range(n))))  # each vertex is in n - 1 pairs
+    full = (n - 1) * digits + pairs * (len(head) + len(tail) - 4 + len(sep)) - len(sep)  # K_n's text length
+    if pairs and DENSE * (hi - lo) >= (DENSE - 1) * full:
+        table = (RowText(n, head, tail, sep, keep=False) if tables is None
+                 else tables.get(n) or tables.setdefault(n, RowText(n, head, tail, sep)))
+        upper = table.read(text, lo, hi)
+        if upper is not None:
+            return tuple(map(or_, upper, transpose(upper))), sum(map(int.bit_count, upper))
+    return _read_pairs(n, chunks(text, lo, hi), *tokens)
 
 
 def _read_edge_list(text: str) -> Graph | None:
@@ -323,38 +337,21 @@ def _read_edge_list(text: str) -> Graph | None:
             return None
     except ValueError:
         return None
-    n = int(n)
-    if n < 0 or n * n > MATRIX_ROOM * len(text):
-        return None
-    if _near_complete(n, len(text) - head - 1, *EDGE_PAIR):
-        upper = RowText(n, *EDGE_PAIR, keep=False).read(text, head + 1, len(text))
-        if upper is not None:
-            return Graph(n, tuple(map(or_, upper, transpose(upper)))) if sum(map(int.bit_count, upper)) == int(m) else None
-    read = _read_pairs(n, _edge_line_chunks(text, head + 1), "{}", "{}\ne", undirected=True)
-    return Graph(n, read[0]) if read is not None and read[1] == int(m) else None
+    read = _read_rows(text, head + 1, len(text), int(n), len(text), EDGE_FORM)
+    return Graph(int(n), read[0]) if read is not None and read[1] == int(m) else None
 
 
 class PairText:
-    """A JSON pair list cut out of a document, in the text the writers emit;
-    pair_rows reads it with the kernel, or raises _Declined.  A near-complete
-    undirected list is matched against K_n's rows instead, in a RowText
-    from tables, which the document's lists share."""
+    """A JSON edge list cut out of a document, in the text the writers
+    emit; pair_rows reads it with _read_rows, or raises _Declined."""
 
-    __slots__ = ("text", "room", "tables", "read")
+    __slots__ = ("text", "size", "tables", "read")
 
-    def __init__(self, text: str, room: int, tables: dict[int, RowText]):
-        self.text, self.room, self.tables, self.read = text, room, tables, False
+    def __init__(self, text: str, size: int, tables: dict[int, RowText]):
+        self.text, self.size, self.tables, self.read = text, size, tables, False
 
-    def rows(self, n: int, undirected: bool) -> tuple[int, ...]:
-        read = None
-        if n * n <= self.room:
-            if undirected and _near_complete(n, len(self.text) - 2, *JSON_PAIR):
-                table = self.tables.get(n) or self.tables.setdefault(n, RowText(n, *JSON_PAIR))
-                upper = table.read(self.text, 1, len(self.text) - 1)
-                if upper is not None:
-                    read = (tuple(map(or_, upper, transpose(upper))),)
-            if read is None:
-                read = _read_pairs(n, _json_pair_chunks(self.text), "[{},", "{}],", undirected)
+    def rows(self, n: int) -> tuple[int, ...]:
+        read = _read_rows(self.text, 1, len(self.text) - 1, n, self.size, JSON_FORM, self.tables)
         if read is None:
             raise _Declined
         self.read = True
@@ -365,14 +362,14 @@ class _Declined(Exception):
     """The kernel cannot read a pair list: read the whole document again."""
 
 
-_PAIR_KEY = re.compile(r'"(?:arcs|edges)": \[')
+_PAIR_KEY = re.compile(r'"edges": \[')
 
 
 def read_pair_json(text: str, read):
     """read(value) of a JSON document given as text.  It runs first with
-    value the decoded skeleton of the text: the "edges" and "arcs" lists are
-    cut out, which inverts splice_json, and a PairText stands in the place of
-    each, which the kernel reads when read() builds from it.  The cut counts
+    value the decoded skeleton of the text: the "edges" lists are cut out,
+    which inverts splice_json, and a PairText stands in the place of each,
+    which the kernel reads when read() builds from it.  The cut counts
     only if json.dumps writes the skeleton back as the text it was decoded
     from, with a HOLE where each list was and nowhere else.  With no such
     cut, or if read() raises or leaves a list unread, read() runs again with
@@ -386,7 +383,7 @@ def read_pair_json(text: str, read):
         if hi < lo + 2:
             return read(text)
         pieces.append(text[at:lo])
-        spans.append(PairText(text[lo:hi], MATRIX_ROOM * len(text), tables))
+        spans.append(PairText(text[lo:hi], len(text), tables))
         at = hi
     pieces.append(text[at:])
     hole = json.dumps(HOLE)
@@ -400,7 +397,8 @@ def read_pair_json(text: str, read):
         canonical = False
     if not canonical:
         return read(text)
-    # fill the holes in the order json.dumps wrote them: keys sorted, lists in order
+    # fill the holes in the order json.dumps wrote them: keys sorted, lists in order;
+    # a hole is an "edges" value, so a list's dicts are walked but not its pairs
     fill = iter(spans)
     todo = [([skeleton], 0)]
     while todo:
@@ -409,8 +407,8 @@ def read_pair_json(text: str, read):
         if x == HOLE:
             parent[key] = next(fill)
         elif type(x) in (dict, list):
-            keys = sorted(x) if type(x) is dict else range(len(x))
-            todo.extend((x, k) for k in reversed(keys) if type(x[k]) in (dict, list, str))
+            keys, kinds = (sorted(x), (dict, list, str)) if type(x) is dict else (range(len(x)), (dict,))
+            todo.extend((x, k) for k in reversed(keys) if type(x[k]) in kinds)
     try:
         out = read(skeleton)
     except (CCWidthError, _Declined):

@@ -29,11 +29,9 @@ from .graphs import (
     induced_subgraph,
     is_connected,
     is_count,
-    is_pairs,
     load_json,
     mask_of,
     pair_rows,
-    read_pair_json,
     row_pairs,
     selector,
     transpose,
@@ -114,29 +112,21 @@ def orientation_to_json(o: Orientation) -> str:
 
 
 def orientation_from_json(text: str, g: Graph) -> Orientation:
-    """The orientation of the complement of g that an orientation file
-    gives.  An "order" file is a permutation of the vertices: each non-edge
-    of g points from its earlier end to its later one.  An "arcs" file
-    lists the arcs.  A malformed file, a vertex count above MAX_VERTICES
+    """The orientation of the complement of g that an order file gives: each
+    non-edge of g points from its earlier end to its later one in "order",
+    a linear extension, which gives any transitive orientation.  A
+    malformed file, one with "arcs" or a vertex count above MAX_VERTICES
     included, raises ParseError; a file for another vertex count than g's
     raises CertificateExtractionError."""
-    return read_pair_json(text, lambda value: _orientation(value, g))
-
-
-def _orientation(value, g: Graph) -> Orientation:
-    obj = load_json(value, "orientation", n=is_count)
+    obj = load_json(text, "orientation", n=is_count)
     n, order = obj["n"], obj.get("order")
-    if "order" not in obj:
-        arcs = load_json(obj, "orientation", arcs=is_pairs)["arcs"]
-    elif "arcs" in obj:
-        raise ParseError("orientation JSON has both 'arcs' and 'order'")
-    elif not (type(order) is list and set(map(type, order)) <= {int} and len(order) == n
-              and sorted(order) == list(range(n))):
+    if "arcs" in obj:
+        raise ParseError("orientation JSON must give the vertex 'order', not 'arcs'")
+    if not (type(order) is list and set(map(type, order)) <= {int} and len(order) == n
+            and sorted(order) == list(range(n))):
         raise ParseError(f"orientation JSON's 'order' is not a permutation of 0..{n - 1}")
     if n != g.n:
         raise CertificateExtractionError(f"orientation has {n} vertices, the graph has {g.n}")
-    if "order" not in obj:
-        return Orientation.from_arcs(n, arcs)
     succ = [0] * n
     after = g.full_mask()  # the vertices after v in the order, once v is reached
     for v in order:
@@ -512,16 +502,18 @@ def unit_intersection_dimension(g: Graph, limits: SearchLimits = UDIM_LIMITS) ->
                 break
             s = (s - 1) & free
 
-    masks = _maximal_masks(coverage)
+    masks = _maximal_masks(coverage, budget)
     if full in masks:
         return 1
     return _min_set_cover(masks, full, budget)
 
 
-def _maximal_masks(masks: set[int]) -> list[int]:
+def _maximal_masks(masks: set[int], budget: Budget) -> list[int]:
+    # quadratic, with no node to tick: the clock is polled once per mask
     ordered = sorted(masks, key=lambda m: (-m.bit_count(), m))
     keep: list[int] = []
     for m in ordered:
+        budget.poll()
         if not any(m | k == k for k in keep):
             keep.append(m)
     return keep

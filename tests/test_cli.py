@@ -414,18 +414,17 @@ def test_bad_gen_arguments_exit_2(capsys, tmp_path, args):
 
 
 @pytest.mark.parametrize("n", [8, 12])
-def test_orientation_vertex_count_must_match_the_graph(capsys, monkeypatch, tmp_path, n):
-    from ccwidth import Orientation
-
-    # a file for another vertex count is refused before its arcs are built
-    monkeypatch.setattr(Orientation, "from_arcs", lambda *args: pytest.fail("arcs built"))
+def test_orientation_vertex_count_must_match_the_graph(capsys, tmp_path, n):
     graph = ten_vertex_poset(tmp_path)
     ori = tmp_path / "o.json"
     argv = ["--out", str(tmp_path), "ccw", graph, "--greedy", "--orientation", str(ori)]
-    for text in (json.dumps({"n": n, "arcs": []}), json.dumps({"n": n, "order": list(range(n))})):
-        ori.write_text(text)
-        code, report = run(capsys, argv)
-        assert code == 4 and "vertices" in report["error"]
+    ori.write_text(json.dumps({"n": n, "order": list(range(n))}))
+    code, report = run(capsys, argv)
+    assert code == 4 and "vertices" in report["error"]
+    # an arcs file is refused as malformed, whatever its vertex count
+    ori.write_text(json.dumps({"n": n, "arcs": []}))
+    code, report = run(capsys, argv)
+    assert code == 2 and "'order'" in report["error"]
 
 
 def test_an_order_that_orients_the_complement_intransitively_exits_4(capsys, tmp_path):
@@ -443,7 +442,7 @@ def test_an_order_that_orients_the_complement_intransitively_exits_4(capsys, tmp
     assert code == 0 and report["results"] == {"lower": 0, "upper": 0}
 
 
-def test_gen_poset_order_file_and_an_arcs_file_give_the_same_greedy_run(capsys, tmp_path):
+def test_gen_poset_order_file_and_another_linear_extension_give_the_same_greedy_run(capsys, tmp_path):
     from ccwidth import random_poset_graph
 
     out = str(tmp_path)
@@ -460,24 +459,32 @@ def test_gen_poset_order_file_and_an_arcs_file_give_the_same_greedy_run(capsys, 
         return report, [Path(p).read_bytes() for p in sorted(report["witnesses"].values())]
 
     by_order = greedy_run()
-    # the generator's orientation as an arcs file, at the same path
+    # another linear extension of the generator's poset, at the same path:
+    # a vertex has fewer predecessors than any vertex above it
     _, o = random_poset_graph(300, 0.05, 0)
-    Path(ori).write_text(json.dumps({"n": o.n, "arcs": o.arcs}))
+    pred = o.pred()
+    order = sorted(range(o.n), key=lambda v: (pred[v].bit_count(), -v))
+    assert order != json.loads(Path(ori).read_text())["order"]
+    Path(ori).write_text(json.dumps({"n": o.n, "order": order}))
     assert greedy_run() == by_order
 
 
 def test_orientation_arcs_must_be_the_complement_edges(capsys, tmp_path):
-    from ccwidth import random_poset_graph
+    from ccwidth import Orientation, approximate_ccw, random_poset_graph
+    from ccwidth.errors import CertificateExtractionError
 
-    _, o = random_poset_graph(10, 0.3, 2)
+    g, o = random_poset_graph(10, 0.3, 2)
+    # one complement edge left unoriented: the library refuses the orientation
+    with pytest.raises(CertificateExtractionError, match="complement"):
+        approximate_ccw(g, Orientation.from_arcs(10, o.arcs[1:]))
+    # and no file states it: an arcs file is refused as malformed
     ori = tmp_path / "o.json"
-    # one complement edge left unoriented
     ori.write_text(json.dumps({"n": 10, "arcs": o.arcs[1:]}))
     graph = ten_vertex_poset(tmp_path)
     code, report = run(
         capsys, ["--out", str(tmp_path), "ccw", graph, "--greedy", "--orientation", str(ori)]
     )
-    assert code == 4 and "complement" in report["error"]
+    assert code == 2 and "'order'" in report["error"]
 
 
 def test_decompose_cover_with_a_vertex_outside_the_graph_exits_2(capsys, tmp_path):
@@ -543,16 +550,21 @@ def test_negative_vertex_in_an_edge_list_file_exits_2(capsys, tmp_path):
     assert json.loads(out)["error"] == "edge (-1,2) out of range for n=3"
 
 
-def test_an_orientation_without_the_complement_arcs_exits_4(capsys, tmp_path):
+def test_an_orientation_without_the_complement_arcs_is_refused(capsys, tmp_path):
+    from ccwidth import Orientation, approximate_ccw, build_graph
+    from ccwidth.errors import CertificateExtractionError
+
     # P3's complement has the edge 0-2, which the empty arc list leaves out;
     # layered unchecked, the arcs give the one layer {0, 1, 2}, no clique of P3
+    with pytest.raises(CertificateExtractionError, match="complement"):
+        approximate_ccw(build_graph(3, [(0, 1), (1, 2)]), Orientation.from_arcs(3, []))
     graph = tmp_path / "p3.graph"
     graph.write_text("p 3 2\ne 0 1\ne 1 2\n")
     ori = tmp_path / "o.json"
     ori.write_text('{"arcs": [], "n": 3}')
     argv = ["--out", str(tmp_path), "ccw", str(graph), "--greedy", "--orientation", str(ori)]
     code, report = run(capsys, argv)
-    assert code == 4 and "error" in report and "upper" not in report["results"]
+    assert code == 2 and "error" in report and "upper" not in report["results"]
     assert not (tmp_path / "greedy_cover.json").exists()
     # no switch skips the check
     with pytest.raises(SystemExit) as exc:

@@ -26,9 +26,10 @@ from ccwidth.errors import (
     CyclicOrientationError,
     NotIncomparabilityError,
     NotTransitiveError,
+    ParseError,
 )
 from ccwidth.generators import complete_graph, cycle_graph, star_graph
-from ccwidth.graphs import Graph
+from ccwidth.graphs import Graph, bits
 from ccwidth.limits import SearchLimits
 from ccwidth.oracles import orientation_from_json, orientation_to_json
 
@@ -200,15 +201,22 @@ def test_two_approx_against_oracle():
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 14), st.sampled_from((0.0, 0.1, 0.3, 0.6, 1.0)), st.integers(0, 2**16), st.data())
-def test_order_and_arcs_files_give_the_same_orientation_and_result(n, density, seed, data):
+def test_every_linear_extension_gives_the_same_orientation_and_result(n, density, seed, data):
     _, o = random_poset_graph(n, density, seed)
     perm = data.draw(st.permutations(range(n)))
     o = Orientation.from_arcs(n, [(perm[u], perm[v]) for u, v in o.arcs])
     g = complement(o.underlying())
-    by_arcs = orientation_from_json(json.dumps({"n": n, "arcs": o.arcs}), g)
-    by_order = orientation_from_json(orientation_to_json(o), g)
-    assert by_arcs == by_order == o
-    assert approximate_ccw(g, by_order) == approximate_ccw(g, by_arcs)
+    # a random linear extension: a random minimal vertex of those left, each time
+    pred, left, order = o.pred(), (1 << n) - 1, []
+    while left:
+        order.append(data.draw(st.sampled_from([v for v in bits(left) if not pred[v] & left])))
+        left ^= 1 << order[-1]
+    by_written = orientation_from_json(orientation_to_json(o), g)
+    by_drawn = orientation_from_json(json.dumps({"n": n, "order": order}), g)
+    assert by_written == by_drawn == o
+    assert approximate_ccw(g, by_written) == approximate_ccw(g, by_drawn)
+    with pytest.raises(ParseError, match="'order'"):
+        orientation_from_json(json.dumps({"n": n, "arcs": o.arcs}), g)
 
 
 def ref_check(g, o):

@@ -37,7 +37,7 @@ from ccwidth.generators import (
     remark_three_cliques_graph,
     star_graph,
 )
-from ccwidth import oracles
+from ccwidth import limits, oracles
 from ccwidth.graphs import bits, is_connected, mask_of
 from ccwidth.incomparability import random_poset_graph
 from ccwidth.limits import BANDWIDTH_LIMITS, CCW_LIMITS, Budget, SearchLimits
@@ -625,6 +625,21 @@ def test_udim_obeys_the_time_budget():
         unit_intersection_dimension(star_graph(9), SearchLimits(max_n=10, time_budget_ms=1))
 
 
+def test_udim_polls_the_clock_inside_the_maximal_masks_pass(monkeypatch):
+    # the clock reads past the deadline from the start of the quadratic
+    # pass on: the pass itself raises, before the set cover ticks
+    real = oracles._maximal_masks
+
+    def late(masks, budget):
+        monkeypatch.setattr(limits.time, "monotonic_ns", lambda: budget.deadline + 1)
+        return real(masks, budget)
+
+    monkeypatch.setattr(oracles, "_maximal_masks", late)
+    with pytest.raises(LimitExceededError, match="time budget") as exc:
+        unit_intersection_dimension(star_graph(7))
+    assert exc.traceback[-2].name == "_maximal_masks"
+
+
 def _set_partitions(n: int):
     """All partitions of {0..n-1} into nonempty blocks (unordered)."""
     if n == 0:
@@ -663,7 +678,7 @@ def ref_unit_intersection_dimension(g):
             if any(abs(part_of[u] - part_of[v]) > 1 for u, v in edges):
                 continue
             coverage.add(sum(1 << k for k, (u, v) in enumerate(nonedges) if part_of[u] != part_of[v]))
-    masks = _maximal_masks(coverage)
+    masks = _maximal_masks(coverage, Budget(SearchLimits()))
     full = (1 << len(nonedges)) - 1
     return 1 if full in masks else _min_set_cover(masks, full, Budget(SearchLimits()))
 
@@ -722,7 +737,7 @@ def ref_quotient_path_udim(g):
             for pm in blocks:
                 split &= ~inside[pm]
             coverage.add(split)
-    masks = _maximal_masks(coverage)
+    masks = _maximal_masks(coverage, Budget(SearchLimits()))
     return 1 if full in masks else _min_set_cover(masks, full, Budget(SearchLimits()))
 
 

@@ -4,13 +4,14 @@ code they replaced, which is kept below verbatim as the reference.
 
 Graphs reach 70 vertices, so rows cross the 64-bit word; orientations
 include loops and non-transitive arc sets.  Text outputs must match byte for
-byte, and bad pair lists must raise the same error for the same pair.  The
-orientation writer now writes a vertex order instead of the arcs: the arcs
-reader is checked on the reference's arcs text, and every acyclic
-orientation must come back from the order text.  Near-complete pair lists
-are written and read by cuts of K_n's rows (RowText): its writer must give
-the reference's text, and its matcher must accept exactly that text and
-agree with the token kernel and the reference readers.  The width each
+byte, and bad pair lists must raise the same error for the same pair.  An
+orientation file is a vertex order: every acyclic orientation must come
+back from its order text, and the reference's arcs text is refused.  Arc
+lists are read only inside decompositions, by json and the plain loop of
+pair_rows, never by the pair-text kernel.  Near-complete edge lists are
+written and read by cuts of K_n's rows (RowText): its writer must give the
+reference's text, and its matcher must accept exactly that text and agree
+with the token kernel and the reference readers.  The width each
 enumerated cover carries must be the width part_masks measures.
 """
 
@@ -40,7 +41,6 @@ from ccwidth.decompose import (
     decomposition_to_json,
 )
 from ccwidth.errors import (
-    CertificateExtractionError,
     CyclicOrientationError,
     IndexOutOfRangeError,
     InvalidCoverError,
@@ -59,10 +59,12 @@ from ccwidth.graphs import (
     selector,
     serialize_graph,
 )
+from ccwidth.generators import random_unit_width_graph
 from ccwidth.incomparability import greedy_layered_cover, random_poset_graph
 from ccwidth.oracles import (
     _cliques_containing,
     enumerate_ordered_covers,
+    find_transitive_orientation,
     orientation_from_json,
     orientation_to_json,
 )
@@ -226,14 +228,11 @@ def ref_parse_graph(text):
 
 
 def ref_orientation_from_arcs_json(text, g):
-    """The arcs branch of orientation_from_json, which reads json.loads(text)
-    and refuses a file for another vertex count than g's before it reads the
-    arcs."""
-    obj = load_json(text, "orientation", n=is_count)
-    arcs = load_json(obj, "orientation", arcs=is_pairs)["arcs"]
-    if obj["n"] != g.n:
-        raise CertificateExtractionError(f"orientation has {obj['n']} vertices, the graph has {g.n}")
-    return Orientation.from_arcs(obj["n"], arcs)
+    """What orientation_from_json makes of a file with an "arcs" key: the
+    error of json.loads(text) or of its vertex count, else a refusal that
+    names the order, whatever the arcs and g."""
+    load_json(text, "orientation", n=is_count)
+    raise ParseError("orientation JSON must give the vertex 'order', not 'arcs'")
 
 
 def ref_decomposition_from_json(text):
@@ -356,7 +355,9 @@ def test_orientation_converters_match_the_reference(o):
     assert o.pred() == ref_pred(o)
     assert verify_transitive(o) == ref_verify_transitive(o)
     g = complement(o.underlying())
-    assert orientation_from_json(ref_orientation_to_json(o), g) == o
+    assert Orientation.from_arcs(o.n, ref_arcs(o)) == o
+    with pytest.raises(ParseError, match="'order'"):
+        orientation_from_json(ref_orientation_to_json(o), g)
     if ref_is_acyclic(o):
         assert orientation_from_json(orientation_to_json(o), g) == o
     else:
@@ -584,7 +585,10 @@ def test_edge_list_reader_peak_memory_stays_under_ten_times_the_text():
     [
         lambda: parse_graph("p 40000 0"),
         lambda: parse_graph('{"n": 40000, "edges": []}'),
-        lambda: orientation_from_json('{"n": 40000, "arcs": []}', Graph(40000, (0,) * 40000)),
+        # an arcs file is refused before anything of its vertex count is made
+        lambda: pytest.raises(
+            ParseError, orientation_from_json, '{"n": 40000, "arcs": []}', Graph(40000, (0,) * 40000)
+        ),
         lambda: parse_graph("p 40000 1\ne 0 39999\n"),
     ],
     ids=["edge-list", "json", "orientation", "one-edge"],
@@ -732,7 +736,7 @@ def test_decomposition_reader_matches_the_reference(n, density, seed, data):
 def test_json_graph_and_arcs_readers_match_the_reference(g, o, data):
     text = mutated_json(data, serialize_graph(g, "json"), g.n)
     arcs = mutated_json(data, ref_orientation_to_json(o), o.n)
-    edgeless = Graph(o.n, (0,) * o.n)  # the arcs reader uses only the graph's vertex count
+    edgeless = Graph(o.n, (0,) * o.n)  # an arcs file is refused whatever the graph
     with pair_chunk(data.draw(st.sampled_from(CHUNKS))):
         assert outcome_of(parse_graph, text) == outcome_of(ref_parse_graph, text)
         expected = outcome_of(ref_orientation_from_arcs_json, arcs, edgeless)
@@ -794,7 +798,7 @@ def test_edge_list_kernel_reads_only_the_writers_form(text, least_chunk):
         ('{"edges": [[0, 1], [1, 1]], "n": 3}', None),
         ('{"edges": [[0, 1], [1, 3]], "n": 3}', None),
         ('{"edges": [[0, 1], [01, 2]], "n": 3}', None),
-        ('{"edges": [[0, 1], [1, 2]], "n": 3, "x": {"arcs": [[0, 1]]}}', None),
+        ('{"edges": [[0, 1], [1, 2]], "n": 3, "x": {"edges": [[0, 1]]}}', None),
         ('{"edges": [[0, 1]], "n": 3, "x": "\\u0000"}', None),
         ('{"n": 3, "edges": [[0, 1], [1, 2]]}', None),
         ('{"edges": [[0, 1], [1, 2]], "n": 3}\n', None),
@@ -828,7 +832,10 @@ def test_canonical_json_with_a_large_n_and_no_pairs_stays_small(key):
     # the pair matrix of n = 5000 would take 25 MB for a 25-byte text
     text = json.dumps({key: [], "n": 5000}, sort_keys=True)
     edgeless = Graph(5000, (0,) * 5000)
-    read = {"edges": lambda: parse_graph(text), "arcs": lambda: orientation_from_json(text, edgeless)}
+    read = {
+        "edges": lambda: parse_graph(text),
+        "arcs": lambda: pytest.raises(ParseError, orientation_from_json, text, edgeless),
+    }
     tracemalloc.start()
     try:
         read[key]()
@@ -897,17 +904,16 @@ def symmetric(upper):
 
 
 @settings(max_examples=100, deadline=None)
-@given(near_complete_graphs(), near_complete_graphs(), orientations(), st.sampled_from(sorted(TEMPLATES)))
-def test_row_text_writes_the_reference_text(g, h, o, fmt):
+@given(near_complete_graphs(), near_complete_graphs(), st.sampled_from(sorted(TEMPLATES)))
+def test_row_text_writes_the_reference_text(g, h, fmt):
     template = TEMPLATES[fmt]
     table = kernel.RowText(g.n, *template)
     # the table's rows, made for the first list, serve the later ones
     for rows in (g.upper(), complement(g).upper(), g.upper()):
         assert table.text(rows) == ref_pairs_text(rows, *template)
-    assert kernel.RowText(o.n, *template).text(o.succ) == ref_pairs_text(o.succ, *template)
     assert serialize_graph(h, fmt) == ref_serialize_graph(h, fmt)
-    assert kernel.pair_lists([g.upper(), o.succ, h.upper(), g.upper()]) == [
-        "[" + ref_pairs_text(rows, *kernel.JSON_PAIR) + "]" for rows in (g.upper(), o.succ, h.upper(), g.upper())
+    assert kernel.pair_lists([g.upper(), h.upper(), g.upper()]) == [
+        "[" + ref_pairs_text(rows, *kernel.JSON_PAIR) + "]" for rows in (g.upper(), h.upper(), g.upper())
     ]
 
 
@@ -948,7 +954,7 @@ def test_dense_edge_list_reader_matches_the_kernel_and_the_reference(g, data):
     if not edits and text.endswith("\n"):
         assert upper == list(g.upper())
     if upper is not None:
-        pairs = kernel._read_pairs(g.n, kernel._edge_line_chunks(text, head), "{}", "{}\ne", undirected=True)
+        pairs = kernel._read_pairs(g.n, kernel._edge_line_chunks(text, head, len(text)), "{}", "{}\ne")
         assert pairs is not None and pairs[0] == symmetric(upper)
 
 
@@ -960,7 +966,7 @@ def test_dense_json_reader_matches_the_kernel_and_the_reference(g, data):
     pairs = mutated_json(data, "[" + ref_pairs_text(g.upper(), *kernel.JSON_PAIR) + "]", g.n)
     upper = matched(pairs, g.n, kernel.JSON_PAIR, 1, len(pairs) - 1)
     if upper is not None:
-        read = kernel._read_pairs(g.n, kernel._json_pair_chunks(pairs), "[{},", "{}],", undirected=True)
+        read = kernel._read_pairs(g.n, kernel._json_pair_chunks(pairs, 1, len(pairs) - 1), "[{},", "{}],")
         assert read is not None and read[0] == symmetric(upper)
 
 
@@ -1031,15 +1037,24 @@ def test_a_list_at_the_density_switch_takes_the_dense_path_and_one_past_it_the_k
     assert calls == ([1] if extra == 0 else [])
 
 
-def test_directed_arc_lists_stay_on_the_kernel(monkeypatch):
-    # a transitive tournament's arcs are every pair u < v: K_n's text
-    o = ref_from_arcs(30, list(combinations(range(30), 2)))
-    text = ref_orientation_to_json(o)
-    calls = []
-    real = kernel.RowText.read
-    monkeypatch.setattr(kernel.RowText, "read", lambda *args: calls.append(1) or real(*args))
-    assert orientation_from_json(text, complement(o.underlying())) == o
-    assert calls == []
+def unit_width_cover(n, seed):
+    """random_unit_width_graph(n, seed) and the greedy cover of the
+    orientation recognition finds for it."""
+    g = random_unit_width_graph(n, seed)
+    return g, greedy_layered_cover(find_transitive_orientation(complement(g))).cover
+
+
+def test_arc_lists_stay_off_the_kernel(monkeypatch):
+    # a width-1 cover leaves one factor, whose arcs are every non-edge of g:
+    # json decodes them, and the kernel reads only the factor's edge list
+    g, cover = unit_width_cover(40, 1)
+    d = decompose(g, cover)
+    assert len(d.factors) == 1 and len(d.factors[0].orientation.arcs) == complement(g).edge_count()
+    seen = []
+    real = kernel._read_rows
+    monkeypatch.setattr(kernel, "_read_rows", lambda text, *args: seen.append(text) or real(text, *args))
+    assert decomposition_from_json(decomposition_to_json(d)) == d
+    assert seen == [json.dumps(f.graph.edges()) for f in d.factors]
 
 
 @pytest.mark.parametrize("fmt", sorted(TEMPLATES))
@@ -1055,21 +1070,26 @@ def test_decompose_cli_writes_the_reference_bytes_at_n_200(tmp_path, capsys):
     from ccwidth.cli import main
     from ccwidth.covers import cover_to_json
 
+    # a poset's greedy cover, of width 10-16, and covers of width 1 and 2,
+    # whose terminal factor orients every non-edge of g, or most of them
     g, o = random_poset_graph(200, 0.05, 11)
-    cover = greedy_layered_cover(o).cover
-    (tmp_path / "g.graph").write_text(serialize_graph(g))
-    (tmp_path / "cover.json").write_text(cover_to_json(cover))
-    out = tmp_path / "out"
-    code = main(["--out", str(out), "decompose", str(tmp_path / "g.graph"), "--cover", str(tmp_path / "cover.json"),
-                 "--verify"])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 0 and all(c["passed"] for c in report["results"]["verification"])
-    d = decompose(g, cover)
-    assert len(d.factors) > 10
-    assert (out / "decomposition.json").read_text() == ref_decomposition_to_json(d)
-    for i, f in enumerate(d.factors):
-        assert (out / f"factor_{i}.dot").read_text() == ref_serialize_graph(f.graph, "dot")
-    assert decomposition_from_json((out / "decomposition.json").read_text()) == d
+    inputs = [(g, greedy_layered_cover(o).cover), unit_width_cover(200, 0), unit_width_cover(200, 1)]
+    factor_counts = []
+    for k, (g, cover) in enumerate(inputs):
+        (tmp_path / "g.graph").write_text(serialize_graph(g))
+        (tmp_path / "cover.json").write_text(cover_to_json(cover))
+        out = tmp_path / f"out{k}"
+        code = main(["--out", str(out), "decompose", str(tmp_path / "g.graph"), "--cover",
+                     str(tmp_path / "cover.json"), "--verify"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and all(c["passed"] for c in report["results"]["verification"])
+        d = decompose(g, cover)
+        factor_counts.append(len(d.factors))
+        assert (out / "decomposition.json").read_text() == ref_decomposition_to_json(d)
+        for i, f in enumerate(d.factors):
+            assert (out / f"factor_{i}.dot").read_text() == ref_serialize_graph(f.graph, "dot")
+        assert decomposition_from_json((out / "decomposition.json").read_text()) == d
+    assert factor_counts[0] > 10 and factor_counts[1:] == [1, 2]
 
 
 # ---------------------------------------------------------------------------
