@@ -20,7 +20,7 @@ from itertools import accumulate, chain, compress, repeat
 from operator import or_, setitem
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CCWidthError, IndexOutOfRangeError, ParseError, SelfLoopError
+from .errors import IndexOutOfRangeError, ParseError, SelfLoopError
 from .limits import MAX_VERTICES
 
 
@@ -203,14 +203,14 @@ def pair_rows(n: int, pairs: Iterable[tuple[int, int]], what: str, *, undirected
     IndexOutOfRangeError.  The first bad pair in input order raises: an
     endpoint outside 0..n-1 IndexOutOfRangeError, a self-loop when
     undirected SelfLoopError, an endpoint that is not an integer TypeError.
-    A PairText goes to the kernel; this loop serves arc lists and what the
-    kernel declines."""
+    A PairRows, which the kernel read as a JSON document was decoded, is
+    already its rows; this loop serves arc lists and what the kernel declines."""
     if n < 0:
         raise IndexOutOfRangeError("vertex count must be non-negative")
     if n > MAX_VERTICES:
         raise IndexOutOfRangeError(f"vertex count {n} is above {MAX_VERTICES}")
-    if type(pairs) is PairText:
-        return pairs.rows(n)
+    if type(pairs) is PairRows:
+        return tuple(pairs)
     rows = [0] * n
     try:
         for u, v in pairs:
@@ -341,79 +341,58 @@ def _read_edge_list(text: str) -> Graph | None:
     return Graph(int(n), read[0]) if read is not None and read[1] == int(m) else None
 
 
-class PairText:
-    """A JSON edge list cut out of a document, in the text the writers
-    emit; pair_rows reads it with _read_rows, or raises _Declined."""
+class PairRows(tuple):
+    """The rows of a JSON edge list that the kernel read while its document
+    was decoded, standing in for the list: a valid pair list for the "n"
+    beside it, as pair_rows would read it."""
 
-    __slots__ = ("text", "size", "tables", "read")
-
-    def __init__(self, text: str, size: int, tables: dict[int, RowText]):
-        self.text, self.size, self.tables, self.read = text, size, tables, False
-
-    def rows(self, n: int) -> tuple[int, ...]:
-        read = _read_rows(self.text, 1, len(self.text) - 1, n, self.size, JSON_FORM, self.tables)
-        if read is None:
-            raise _Declined
-        self.read = True
-        return read[0]
-
-
-class _Declined(Exception):
-    """The kernel cannot read a pair list: read the whole document again."""
+    __slots__ = ()
 
 
 _PAIR_KEY = re.compile(r'"edges": \[')
 
 
 def read_pair_json(text: str, read):
-    """read(value) of a JSON document given as text.  It runs first with
-    value the decoded skeleton of the text: the "edges" lists are cut out,
-    which inverts splice_json, and a PairText stands in the place of each,
-    which the kernel reads when read() builds from it.  The cut counts
-    only if json.dumps writes the skeleton back as the text it was decoded
-    from, with a HOLE where each list was and nowhere else.  With no such
-    cut, or if read() raises or leaves a list unread, read() runs again with
-    value the text itself, so errors come only from the general reader."""
+    """read(value) of a JSON document given as text, with one call of read.
+    The "edges" lists are cut out of the text, which inverts splice_json,
+    and the k-th replaced by the string HOLE + str(k).  As the skeleton left
+    is decoded, each object whose "edges" is a hole and whose "n" is a count
+    has its list read by the kernel into a PairRows.  If every list is read,
+    read() runs on the skeleton: it then raises what it would on the text.
+    Otherwise, or if the skeleton is not JSON or holds a \\u0000 escape of
+    its own, read() runs on the text itself."""
     pieces, spans = [], []
-    tables: dict[int, RowText] = {}
     at = 0
     while (key := _PAIR_KEY.search(text, at)) is not None:  # no scan inside the lists
         lo = key.end() - 1
         hi = lo + 2 if text.startswith("[]", lo) else text.find("]]", lo) + 2
         if hi < lo + 2:
             return read(text)
-        pieces.append(text[at:lo])
-        spans.append(PairText(text[lo:hi], len(text), tables))
+        pieces += text[at:lo], json.dumps(HOLE + str(len(spans)))
+        spans.append((lo, hi))
         at = hi
     pieces.append(text[at:])
-    hole = json.dumps(HOLE)
-    cut = hole.join(pieces)
-    if not spans or cut.count(hole) != len(spans):
+    cut = "".join(pieces)
+    if not spans or cut.count("\\u0000") != len(spans):
         return read(text)
+    tables: dict[int, RowText] = {}
+    filled = []
+
+    def fill(obj: dict) -> dict:
+        hole, n = obj.get("edges"), obj.get("n")
+        if type(hole) is str and hole[:1] == HOLE and is_count(n):
+            lo, hi = spans[int(hole[1:])]
+            rows = _read_rows(text[lo:hi], 1, hi - lo - 1, n, len(text), JSON_FORM, tables)
+            if rows is not None:
+                obj["edges"] = PairRows(rows[0])
+                filled.append(hole)
+        return obj
+
     try:
-        skeleton = json.loads(cut)
-        canonical = json.dumps(skeleton, sort_keys=True) == cut
+        skeleton = json.loads(cut, object_hook=fill)
     except (ValueError, RecursionError):
-        canonical = False
-    if not canonical:
         return read(text)
-    # fill the holes in the order json.dumps wrote them: keys sorted, lists in order;
-    # a hole is an "edges" value, so a list's dicts are walked but not its pairs
-    fill = iter(spans)
-    todo = [([skeleton], 0)]
-    while todo:
-        parent, key = todo.pop()
-        x = parent[key]
-        if x == HOLE:
-            parent[key] = next(fill)
-        elif type(x) in (dict, list):
-            keys, kinds = (sorted(x), (dict, list, str)) if type(x) is dict else (range(len(x)), (dict,))
-            todo.extend((x, k) for k in reversed(keys) if type(x[k]) in kinds)
-    try:
-        out = read(skeleton)
-    except (CCWidthError, _Declined):
-        return read(text)
-    return out if all(span.read for span in spans) else read(text)
+    return read(skeleton if len(filled) == len(spans) else text)
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -526,9 +505,9 @@ def is_lists(x) -> bool:
 
 
 def is_pairs(x) -> bool:
-    """A list of pairs of counts, or a PairText, which the kernel checks
-    when it reads it."""
-    return type(x) is PairText or is_lists(x) and set(map(len, x)) <= {2}
+    """A list of pairs of counts, or a PairRows, which the kernel checked
+    when it read it."""
+    return type(x) is PairRows or is_lists(x) and set(map(len, x)) <= {2}
 
 
 def load_json(value, what: str, /, **shapes) -> dict:

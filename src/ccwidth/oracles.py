@@ -51,9 +51,10 @@ class StarCertificate:
 
 
 def validate_star(g: Graph, cert: StarCertificate) -> bool:
-    """Check the induced-star invariants: center adjacent to every leaf,
-    leaves pairwise non-adjacent, center not a leaf, all of them vertices of g."""
-    if cert.center in cert.leaves or not all(0 <= v < g.n for v in (cert.center, *cert.leaves)):
+    """Check the induced-star invariants: center and leaves distinct
+    vertices of g, center adjacent to every leaf, leaves pairwise non-adjacent."""
+    vs = (cert.center, *cert.leaves)
+    if len(set(vs)) != len(vs) or not all(0 <= v < g.n for v in vs):
         return False
     lm = mask_of(cert.leaves)
     if g.adj[cert.center] & lm != lm:

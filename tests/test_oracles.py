@@ -91,6 +91,7 @@ def test_star_certificate_with_a_vertex_outside_the_graph_is_invalid():
     assert not validate_star(p3, StarCertificate(-1, (1,)))
     assert not validate_star(p3, StarCertificate(1, (0, -2)))
     assert not validate_star(p3, StarCertificate(1, (0, 3)))
+    assert not validate_star(p3, StarCertificate(1, (0, 2, 2)))  # P3's largest star has 2 leaves
     assert not validate_star(build_graph(0, ()), StarCertificate(-1, ()))
 
 

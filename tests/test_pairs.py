@@ -6,13 +6,16 @@ Graphs reach 70 vertices, so rows cross the 64-bit word; orientations
 include loops and non-transitive arc sets.  Text outputs must match byte for
 byte, and bad pair lists must raise the same error for the same pair.  An
 orientation file is a vertex order: every acyclic orientation must come
-back from its order text, and the reference's arcs text is refused.  Arc
-lists are read only inside decompositions, by json and the plain loop of
-pair_rows, never by the pair-text kernel.  Near-complete edge lists are
-written and read by cuts of K_n's rows (RowText): its writer must give the
-reference's text, and its matcher must accept exactly that text and agree
-with the token kernel and the reference readers.  The width each
-enumerated cover carries must be the width part_masks measures.
+back from its order text, and the reference's arcs text is refused.  A
+JSON document is decoded once, with read() run once: on its skeleton when
+the kernel reads every edge list as the skeleton is decoded, else on its
+text, with the reference's result or error either way.  Arc lists are read
+only inside decompositions, by json and the plain loop of pair_rows, never
+by the pair-text kernel.  Near-complete edge lists are written and read by
+cuts of K_n's rows (RowText): its writer must give the reference's text,
+and its matcher must accept exactly that text and agree with the token
+kernel and the reference readers.  The width each enumerated cover carries
+must be the width part_masks measures.
 """
 
 import dataclasses
@@ -800,8 +803,18 @@ def test_edge_list_kernel_reads_only_the_writers_form(text, least_chunk):
         ('{"edges": [[0, 1], [01, 2]], "n": 3}', None),
         ('{"edges": [[0, 1], [1, 2]], "n": 3, "x": {"edges": [[0, 1]]}}', None),
         ('{"edges": [[0, 1]], "n": 3, "x": "\\u0000"}', None),
-        ('{"n": 3, "edges": [[0, 1], [1, 2]]}', None),
-        ('{"edges": [[0, 1], [1, 2]], "n": 3}\n', None),
+        ('{"\\u0000": 1, "edges": [[0, 1]], "n": 3}', None),
+        ('{"edges": [[0, 1]], "n": 3, "x": {"edges": "\\u00000", "n": 3}}', None),
+        ('{"n": 3, "edges": [[0, 1], [1, 2]]}', 8),
+        ('{"edges": [[0, 1], [1, 2]], "n": 3}\n', 8),
+        ('{ "edges": [[0, 1], [1, 2]],  "n" : 3 }', 8),
+        ('{"edges": [[0, 1]], "edges": [[1, 2]], "n": 3}', None),
+        ('{"edges": [[0, 1], [1, 2]], "n": 3, "x": {"edges": [[0, 1]], "n": 2}}', 8),
+        ('{"edges": [[0, 1], [1, 2]], "n": 3, "x": {"edges": [[0, 1]], "n": 1}}', None),
+        ('{"edges": [[0, 1], [1, 2]]}', None),
+        ('{"edges": [[0, 1], [1, 2]], "n": true}', None),
+        ('{"edges": [[0, 1], [1, 2]], "n": -1}', None),
+        ('{"edges": [[0, 1], [1, 2]], "n": %d}' % 10**30, None),
     ],
 )
 def test_json_kernel_reads_only_the_writers_form(text, least_chunk):
@@ -845,8 +858,9 @@ def test_canonical_json_with_a_large_n_and_no_pairs_stays_small(key):
     assert peak < 10_000_000, peak
 
 
-def test_decomposition_reader_peak_memory_stays_under_ten_times_the_text():
-    # an n = 160 decomposition with its greedy cover, about 2 MB of text
+def test_decomposition_reader_peak_memory_stays_under_the_text_size():
+    # an n = 160 decomposition with its greedy cover, about 2 MB of text: one
+    # edge list is copied out at a time, and the text is never decoded whole
     g, o = random_poset_graph(160, 0.05, 7)
     text = decomposition_to_json(decompose(g, greedy_layered_cover(o).cover))
     tracemalloc.start()
@@ -856,7 +870,24 @@ def test_decomposition_reader_peak_memory_stays_under_ten_times_the_text():
     finally:
         tracemalloc.stop()
     assert len(d.factors) > 10 and len(text) > 1_000_000
-    assert peak < 10 * len(text), (peak, len(text))
+    assert peak < len(text), (peak, len(text))
+
+
+def test_a_document_the_kernel_reads_is_decoded_once_whatever_read_raises(monkeypatch):
+    # the terminal orientation's "n" is -1: read() raises the reference's
+    # error on the skeleton, and the 2 MB text is never decoded whole
+    g, o = random_poset_graph(160, 0.05, 7)
+    text = decomposition_to_json(decompose(g, greedy_layered_cover(o).cover))
+    at = text.rindex('"n": 160')
+    assert text.rindex('"orientation": {') < at  # the last factor's last key
+    text = text[:at] + '"n": -1' + text[at + len('"n": 160'):]
+    expected = outcome_of(ref_decomposition_from_json, text)
+    assert expected[0] is ParseError and "'n'" in expected[1]
+    decoded = []
+    real = kernel.json.loads
+    monkeypatch.setattr(kernel.json, "loads", lambda s, **kw: decoded.append(len(s)) or real(s, **kw))
+    assert outcome_of(decomposition_from_json, text) == expected
+    assert len(decoded) == 1 and decoded[0] < len(text) // 100, (decoded, len(text))
 
 
 # ---------------------------------------------------------------------------
