@@ -183,7 +183,7 @@ def cmd_decompose(args, report):
 
 def cmd_verify(args, report):
     g = _load_graph(args, report)
-    d = decomposition_from_json(_read_input(args.decomposition))
+    d = decomposition_from_json(_read_input(args.decomposition), g)
     vr = verify_decomposition(g, d)
     report["results"] = {"all_passed": vr.all_passed, "checks": _checks(vr)}
     return EXIT_OK if vr.all_passed else EXIT_VERIFY

@@ -11,6 +11,8 @@ at most 1 grouping runs of W consecutive parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator
 
 from .covers import OrderedCliqueCover, cover_width, make_cover, validated_width
 from .errors import InvalidArgumentError
@@ -183,6 +185,9 @@ def verify_decomposition(g: Graph, d: Decomposition) -> DecompositionReport:
         if f.bipartition is None:
             ok, detail = False, f"factor {idx} lacks a bipartition witness"
             break
+        if len(f.bipartition) != 2:
+            ok, detail = False, f"factor {idx} bipartition must have 2 sides, not {len(f.bipartition)}"
+            break
         a, b = (mask_of(s) for s in f.bipartition)
         if a & b or a | b != f.graph.full_mask():
             ok, detail = False, f"factor {idx} bipartition is not a partition of V"
@@ -252,8 +257,31 @@ def _lists_or_none(x) -> bool:
     return x is None or is_lists(x)
 
 
-def decomposition_from_json(text: str) -> Decomposition:
-    return read_pair_json(text, _decomposition)
+def decomposition_from_json(text: str, g: Graph) -> Decomposition:
+    """The decomposition in text, a file for the graph g.  A factor's edge
+    list that is the text decomposition_to_json writes for that factor of
+    decompose(g, cover), with the file's own "cover", is taken as that
+    factor's rows without being read; any other list is read."""
+    return read_pair_json(text, _decomposition, lambda skeleton: _written_lists(g, skeleton, len(text)))
+
+
+def _written_lists(g: Graph, skeleton, size: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(edge list text, rows) of each factor of g through the skeleton's
+    "cover", as decomposition_to_json writes it, made one at a time; none
+    when that is not a valid cover of g, or when a size-character file is
+    too short to be one written through it.  Such a file lists every pair
+    of vertices max(W - 1, 1) times or more, as a factor edge or a terminal
+    arc, at 8 or more characters a pair; the bound keeps the factors built
+    here, for a file that only claims a cover, in proportion to its size."""
+    cover = skeleton.get("cover") if type(skeleton) is dict else None
+    # a vertex id above g's is refused before a mask of it is made
+    if not is_lists(cover) or max(chain.from_iterable(cover), default=-1) >= g.n:
+        return
+    cover = make_cover(cover)
+    rep, width = validated_width(g, cover)
+    if rep.valid and 4 * max(width - 1, 1) * g.n * (g.n - 1) <= size:
+        graphs = [f.graph for f in decompose(g, cover, width).factors]
+        yield from zip(pair_lists(h.upper() for h in graphs), (h.adj for h in graphs))
 
 
 def _decomposition(value) -> Decomposition:

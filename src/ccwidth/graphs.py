@@ -176,15 +176,14 @@ def transpose(rows: Sequence[int]) -> list[int]:
     return bit_matrix_lines("".join(map(f"{{:0{n}b}}".format, reversed(rows))), n, transpose=True)
 
 
-def pair_lists(row_sets: Iterable[Sequence[int]]) -> list[str]:
+def pair_lists(row_sets: Iterable[Sequence[int]]) -> Iterator[str]:
     """The JSON text json.dumps writes for row_pairs(rows), for each rows of
-    row_sets; lists on the same number of vertices share one RowText."""
+    row_sets, made as it is asked for; lists on the same number of vertices
+    share one RowText."""
     tables: dict[int, RowText] = {}
-    out = []
     for rows in row_sets:
         table = tables.get(len(rows)) or tables.setdefault(len(rows), RowText(len(rows), *JSON_PAIR))
-        out.append("[" + table.text(rows) + "]")
-    return out
+        yield "[" + table.text(rows) + "]"
 
 
 HOLE = "\0"
@@ -352,13 +351,17 @@ class PairRows(tuple):
 _PAIR_KEY = re.compile(r'"edges": \[')
 
 
-def read_pair_json(text: str, read):
+def read_pair_json(text: str, read, expect=None):
     """read(value) of a JSON document given as text, with one call of read.
     The "edges" lists are cut out of the text, which inverts splice_json,
     and the k-th replaced by the string HOLE + str(k).  As the skeleton left
     is decoded, each object whose "edges" is a hole and whose "n" is a count
-    has its list read by the kernel into a PairRows.  If every list is read,
-    read() runs on the skeleton: it then raises what it would on the text.
+    is collected; then each hole, in order, is filled with a PairRows.
+    expect(skeleton), when given, yields (list text, rows) in hole order: a
+    hole whose list is that text, on len(rows) vertices, takes those rows
+    unread, which are what the kernel would read from the writers' text.
+    Any other list is read by the kernel.  If every list is filled, read()
+    runs on the skeleton: it then raises what it would on the text.
     Otherwise, or if the skeleton is not JSON or holds a \\u0000 escape of
     its own, read() runs on the text itself."""
     pieces, spans = [], []
@@ -375,24 +378,41 @@ def read_pair_json(text: str, read):
     cut = "".join(pieces)
     if not spans or cut.count("\\u0000") != len(spans):
         return read(text)
-    tables: dict[int, RowText] = {}
-    filled = []
+    holes: dict[int, dict] = {}
 
-    def fill(obj: dict) -> dict:
+    def collect(obj: dict) -> dict:
         hole, n = obj.get("edges"), obj.get("n")
         if type(hole) is str and hole[:1] == HOLE and is_count(n):
-            lo, hi = spans[int(hole[1:])]
-            rows = _read_rows(text[lo:hi], 1, hi - lo - 1, n, len(text), JSON_FORM, tables)
-            if rows is not None:
-                obj["edges"] = PairRows(rows[0])
-                filled.append(hole)
+            holes[int(hole[1:])] = obj
         return obj
 
     try:
-        skeleton = json.loads(cut, object_hook=fill)
+        skeleton = json.loads(cut, object_hook=collect)
     except (ValueError, RecursionError):
         return read(text)
-    return read(skeleton if len(filled) == len(spans) else text)
+    if len(holes) < len(spans):
+        return read(text)
+    expected = iter(expect(skeleton) if expect else ())
+    tables: dict[int, RowText] = {}
+    for k, (lo, hi) in enumerate(spans):
+        obj = holes[k]
+        rows = _written_rows(text, lo, hi, obj["n"], next(expected, None))
+        if rows is None:
+            rows = _read_rows(text[lo:hi], 1, hi - lo - 1, obj["n"], len(text), JSON_FORM, tables)
+            if rows is None:
+                return read(text)
+            rows = rows[0]
+        obj["edges"] = PairRows(rows)
+    return read(skeleton)
+
+
+def _written_rows(text: str, lo: int, hi: int, n: int, written) -> Sequence[int] | None:
+    """The rows of written, a (list text, rows) pair, if text[lo:hi] is that
+    list text and n is len(rows); else None."""
+    if written is None:
+        return None
+    list_text, rows = written
+    return rows if len(rows) == n and hi - lo == len(list_text) and text.startswith(list_text, lo) else None
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -3,7 +3,9 @@ the tool reads (edge list, JSON graph, cover, order and arcs orientation,
 decomposition) are mutated and handed to argv drawn over the subcommands and
 flags, removed options included.  Every run must end with an exit code of
 the contract, 0, 2, 3, 4 or 5 (argparse's own exits included), and print no
-traceback.
+traceback.  Decompositions are also edited as objects (bipartitions,
+factors, cover) and re-encoded in the writer's form, so verify's matched
+lists and its checks meet them, not only its parse errors.
 
 Runs are in-process, through cli.main, and bounded: every argv carries
 --limits-time 1000, and every count or size drawn is at most 30 or above
@@ -178,6 +180,73 @@ def test_any_file_and_argv_exit_with_a_contract_code_and_no_traceback(run_args):
         for name, data in written.items():
             Path(tmp, name).write_bytes(data)
         code, printed = run([a.replace("{dir}", tmp) for a in argv], stdin)
+    assert code in EXIT_CODES, (code, printed)
+    assert "Traceback" not in printed
+
+
+OBJECT_EDITS = ("merge sides", "split a side", "move vertex", "drop factor", "duplicate factor", "reorder factors",
+                "edit cover")
+
+
+def edit_decomposition(data, edit, i):
+    """decomposition.json with one edit of the given kind to its decoded
+    object, chosen by i, encoded again as the writer encodes it, so its pair
+    lists keep the writer's form: a bipartition's sides merged into one, or
+    one more side split off (three, from two), a vertex moved to another
+    side, a factor dropped or duplicated, the factors reordered, or the
+    cover edited."""
+    obj = json.loads(data)
+    factors, parts = obj["factors"], obj["cover"]
+    witnessed = [f for f in factors if f["bipartition"]]
+    if edit in ("merge sides", "split a side", "move vertex") and witnessed:
+        sides = witnessed[i % len(witnessed)]["bipartition"]
+        if edit == "merge sides":
+            sides[:] = [sorted(sum(sides, []))]
+        elif edit == "split a side":
+            sides[:1] = [sides[0][:1], sides[0][1:]]
+        elif len(sides) > 1 and any(sides):
+            k = next(k for k, side in enumerate(sides) if side)
+            sides[k - 1].append(sides[k].pop(i % len(sides[k])))
+    elif edit in ("drop factor", "duplicate factor") and factors:
+        k = i % len(factors)
+        factors[k:k + 1] = [] if edit == "drop factor" else [factors[k]] * 2
+    elif edit == "reorder factors" and factors:
+        factors.insert(0, factors.pop())
+    elif edit == "edit cover" and parts:
+        k = i % len(parts)
+        how = i % 4
+        if how == 0:  # a part dropped
+            del parts[k]
+        elif how == 1:  # two parts swapped
+            parts[k], parts[-1] = parts[-1], parts[k]
+        elif how == 2 and parts[k]:  # a vertex moved to the next part
+            parts[(k + 1) % len(parts)].append(parts[k].pop())
+        else:  # a vertex past the graph's last
+            parts[k].append(sum(map(len, parts)))
+    return json.dumps(obj, sort_keys=True).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 20),
+    st.sampled_from((0.1, 0.3, 0.6)),
+    st.integers(0, 99),
+    st.lists(st.tuples(st.sampled_from(OBJECT_EDITS), st.integers(0, 10**6)), min_size=1, max_size=3),
+    st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6)), max_size=1),
+)
+def test_edited_decomposition_objects_exit_with_a_contract_code(n, density, seed, edits, mutations):
+    # verify on the poset graph the decomposition was written for, with
+    # object-level edits of the file and at most one token edit after them
+    files = valid_files(n, density, seed, poset=True)
+    data = files["decomposition"]
+    for edit, i in edits:
+        data = edit_decomposition(data, edit, i)
+    for kind, i in mutations:
+        data = mutate(data, kind, i, n)
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "g.graph").write_bytes(files["edge-list"])
+        Path(tmp, "decomposition.json").write_bytes(data)
+        code, printed = run(["verify", f"{tmp}/g.graph", "--decomposition", f"{tmp}/decomposition.json"], b"")
     assert code in EXIT_CODES, (code, printed)
     assert "Traceback" not in printed
 

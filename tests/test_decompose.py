@@ -141,6 +141,27 @@ def test_factor_of_unknown_kind_fails_check_c(capsys, tmp_path):
     assert not report["results"]["all_passed"]
 
 
+@pytest.mark.parametrize("sides", [((0, 1, 2, 3, 4),), ((0, 2), (4,), (1, 3))])
+def test_a_bipartition_of_one_or_three_sides_fails_check_c(capsys, tmp_path, sides):
+    from ccwidth.cli import main
+
+    c5 = cycle_graph(5)
+    d = decompose(c5, trivial_cover(c5))
+    f0 = d.factors[0]
+    tampered = Decomposition(d.source_cover, (Factor(f0.graph, f0.kind, sides),) + d.factors[1:])
+    detail = f"factor 0 bipartition must have 2 sides, not {len(sides)}"
+    failures = verify_decomposition(c5, tampered).failures()
+    assert [(c.name, c.detail) for c in failures] == [("c_cobipartite_witnesses", detail)]
+
+    graph, stored = tmp_path / "c5.graph", tmp_path / "decomposition.json"
+    graph.write_text("p 5 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 0 4\n")
+    stored.write_text(decomposition_to_json(tampered))
+    assert main(["verify", str(graph), "--decomposition", str(stored)]) == 4
+    report = json.loads(capsys.readouterr().out)
+    failed = [(c["check"], c["detail"]) for c in report["results"]["checks"] if not c["passed"]]
+    assert failed == [("c_cobipartite_witnesses", detail)]
+
+
 def test_tampered_orientation_fails():
     p4 = path_graph(4)
     d = decompose(p4, trivial_cover(p4))
@@ -159,7 +180,7 @@ def test_tampered_orientation_fails():
 def test_round_trip_json():
     c5 = cycle_graph(5)
     d = decompose(c5, trivial_cover(c5))
-    d2 = decomposition_from_json(decomposition_to_json(d))
+    d2 = decomposition_from_json(decomposition_to_json(d), c5)
     assert d2 == d
 
 
@@ -192,7 +213,7 @@ def test_optimal_cover_realizes_udim_bound():
 def test_empty_graph_decomposition_survives_a_json_round_trip():
     g = build_graph(0, [])
     d = decompose(g, make_cover([]))
-    back = decomposition_from_json(decomposition_to_json(d))
+    back = decomposition_from_json(decomposition_to_json(d), g)
     assert back == d and verify_decomposition(g, back).all_passed
 
 
@@ -200,7 +221,7 @@ def test_block_cover_check_measures_the_blocks_once(monkeypatch):
     from ccwidth import covers
 
     c5 = cycle_graph(5)
-    d = decomposition_from_json(decomposition_to_json(decompose(c5, trivial_cover(c5))))
+    d = decomposition_from_json(decomposition_to_json(decompose(c5, trivial_cover(c5))), c5)
     blocks = d.factors[-1].blocks
     measured = []
     real = covers.part_masks

@@ -9,7 +9,10 @@ orientation file is a vertex order: every acyclic orientation must come
 back from its order text, and the reference's arcs text is refused.  A
 JSON document is decoded once, with read() run once: on its skeleton when
 the kernel reads every edge list as the skeleton is decoded, else on its
-text, with the reference's result or error either way.  Arc lists are read
+text, with the reference's result or error either way.  A decomposition's
+edge list that is the writer's text for the factor its recorded cover gives
+for the graph is taken unread, again with the reference's outcome, on valid,
+swapped, reordered, re-covered and tampered files.  Arc lists are read
 only inside decompositions, by json and the plain loop of pair_rows, never
 by the pair-text kernel.  Near-complete edge lists are written and read by
 cuts of K_n's rows (RowText): its writer must give the reference's text,
@@ -19,6 +22,7 @@ must be the width part_masks measures.
 """
 
 import dataclasses
+import importlib
 import json
 import random
 import re
@@ -31,7 +35,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccwidth import Orientation, build_graph, complement, decompose, verify_transitive
+from ccwidth import Orientation, build_graph, clique_cover_width_exact, complement, decompose, verify_transitive
 from ccwidth import graphs as kernel
 from ccwidth import covers as covers_mod
 from ccwidth.covers import OrderedCliqueCover, cover_to_json, cover_width, make_cover, part_masks, trivial_cover
@@ -42,6 +46,7 @@ from ccwidth.decompose import (
     _lists_or_none,
     decomposition_from_json,
     decomposition_to_json,
+    verify_decomposition,
 )
 from ccwidth.errors import (
     CyclicOrientationError,
@@ -62,7 +67,7 @@ from ccwidth.graphs import (
     selector,
     serialize_graph,
 )
-from ccwidth.generators import random_unit_width_graph
+from ccwidth.generators import random_connected_graph, random_unit_width_graph
 from ccwidth.incomparability import greedy_layered_cover, random_poset_graph
 from ccwidth.oracles import (
     _cliques_containing,
@@ -256,6 +261,11 @@ def ref_decomposition_from_json(text):
     return Decomposition(make_cover(obj["cover"]), tuple(factors))
 
 
+# a graph on more vertices than any decomposition file here: no file's
+# cover is a cover of it, so decomposition_from_json reads every list
+UNMATCHED = Graph(1000, (0,) * 1000)
+
+
 def ref_orientation_to_json(o):
     return json.dumps({"n": o.n, "arcs": ref_arcs(o)}, sort_keys=True)
 
@@ -383,7 +393,7 @@ def test_decomposition_json_matches_the_reference(n, density, seed):
         d = decompose(g, cover)
         text = decomposition_to_json(d)
         assert text == ref_decomposition_to_json(d)
-        assert decomposition_from_json(text) == d
+        assert decomposition_from_json(text, g) == d == decomposition_from_json(text, UNMATCHED)
         for f in d.factors:
             assert serialize_graph(f.graph, "dot") == ref_serialize_graph(f.graph, "dot")
 
@@ -730,8 +740,9 @@ def test_decomposition_reader_matches_the_reference(n, density, seed, data):
     g, o = random_poset_graph(n, density, seed)
     cover = data.draw(st.sampled_from((greedy_layered_cover(o).cover, trivial_cover(g))))
     text = mutated_json(data, decomposition_to_json(decompose(g, cover)), n)
+    for_graph = data.draw(st.sampled_from((g, UNMATCHED)))
     with pair_chunk(data.draw(st.sampled_from(CHUNKS))):
-        assert outcome_of(decomposition_from_json, text) == outcome_of(ref_decomposition_from_json, text)
+        assert outcome_of(decomposition_from_json, text, for_graph) == outcome_of(ref_decomposition_from_json, text)
 
 
 @settings(max_examples=150, deadline=None)
@@ -836,8 +847,8 @@ def test_json_readers_raise_the_general_readers_error_first():
     text = text[:terminal] + "0, 0, " + text[terminal:]
     text = re.sub(r'("orientation": \{"arcs": \[[^]]*(\][^]]*)*\], "n": )7', r"\g<1>-1", text)
     assert "-1" in text
-    assert outcome_of(decomposition_from_json, text) == outcome_of(ref_decomposition_from_json, text)
-    assert "'edges'" in str(outcome_of(decomposition_from_json, text))
+    assert outcome_of(decomposition_from_json, text, g) == outcome_of(ref_decomposition_from_json, text)
+    assert "'edges'" in str(outcome_of(decomposition_from_json, text, g))
 
 
 @pytest.mark.parametrize("key", ["edges", "arcs"])
@@ -860,22 +871,25 @@ def test_canonical_json_with_a_large_n_and_no_pairs_stays_small(key):
 
 def test_decomposition_reader_peak_memory_stays_under_the_text_size():
     # an n = 160 decomposition with its greedy cover, about 2 MB of text: one
-    # edge list is copied out at a time, and the text is never decoded whole
+    # edge list is made (for g, whose lists all match) or copied out (for a
+    # graph none matches) at a time, and the text is never decoded whole
     g, o = random_poset_graph(160, 0.05, 7)
     text = decomposition_to_json(decompose(g, greedy_layered_cover(o).cover))
-    tracemalloc.start()
-    try:
-        d = decomposition_from_json(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(d.factors) > 10 and len(text) > 1_000_000
-    assert peak < len(text), (peak, len(text))
+    for for_graph in (g, UNMATCHED):
+        tracemalloc.start()
+        try:
+            d = decomposition_from_json(text, for_graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(d.factors) > 10 and len(text) > 1_000_000
+        assert peak < len(text), (peak, len(text), for_graph is g)
 
 
 def test_a_document_the_kernel_reads_is_decoded_once_whatever_read_raises(monkeypatch):
     # the terminal orientation's "n" is -1: read() raises the reference's
-    # error on the skeleton, and the 2 MB text is never decoded whole
+    # error on the skeleton, and the 2 MB text is never decoded whole, with
+    # its lists matched (for g) or read (for a graph none matches)
     g, o = random_poset_graph(160, 0.05, 7)
     text = decomposition_to_json(decompose(g, greedy_layered_cover(o).cover))
     at = text.rindex('"n": 160')
@@ -886,8 +900,123 @@ def test_a_document_the_kernel_reads_is_decoded_once_whatever_read_raises(monkey
     decoded = []
     real = kernel.json.loads
     monkeypatch.setattr(kernel.json, "loads", lambda s, **kw: decoded.append(len(s)) or real(s, **kw))
-    assert outcome_of(decomposition_from_json, text) == expected
-    assert len(decoded) == 1 and decoded[0] < len(text) // 100, (decoded, len(text))
+    for for_graph in (g, UNMATCHED):
+        decoded.clear()
+        assert outcome_of(decomposition_from_json, text, for_graph) == expected
+        assert len(decoded) == 1 and decoded[0] < len(text) // 100, (decoded, len(text), for_graph is g)
+
+
+# ---------------------------------------------------------------------------
+# matched lists: a factor list that is the writer's text for the factor the
+# file's cover gives is taken unread, with the reference's result either way
+
+
+def decomposition_cases():
+    """(g, cover) for poset graphs under greedy, exact and trivial covers,
+    and for random connected graphs under exact and trivial covers."""
+    for seed in range(3):
+        g, o = random_poset_graph(9 + 8 * seed, 0.15, seed)
+        yield g, greedy_layered_cover(o).cover
+        if g.n <= 10:
+            yield g, clique_cover_width_exact(g)[1]
+        yield g, trivial_cover(g)
+        g = random_connected_graph(8, 0.35, seed)
+        yield g, clique_cover_width_exact(g)[1]
+        yield g, trivial_cover(g)
+
+
+def edited(text, edit):
+    """The decomposition text re-encoded after edit(obj) changes its decoded
+    object, in the writer's form: json.dumps writes the pair lists the
+    writer does."""
+    obj = json.loads(text)
+    edit(obj)
+    return json.dumps(obj, sort_keys=True)
+
+
+def variants(g, cover, text):
+    """(label, text, graph) of the file and of edits of it."""
+    yield "valid", text, g
+    lists = [m.span() for m in re.finditer(r'(?<="edges": )(\[\]|\[\[.*?\]\])', text)]
+    if len(lists) > 1:
+        (a, b), (c, d) = lists[0], lists[-1]
+        yield "list replaced", text[:a] + text[c:d] + text[b:], g
+        yield "factors reordered", edited(text, lambda obj: obj["factors"].reverse()), g
+    for other in {make_cover(cover.parts[::-1]), trivial_cover(g)} - {cover}:
+        yield "other valid cover", edited(text, lambda obj: obj.update(cover=other.parts)), g
+    for bad in (cover.parts[:-1], ((g.n,),) + cover.parts, cover.parts + cover.parts[-1:]):
+        yield "invalid cover", edited(text, lambda obj: obj.update(cover=bad)), g
+    yield "other vertex count", text, random_connected_graph(g.n + 1, 0.5, g.n)
+    for n in (g.n - 1, g.n + 1):
+        yield "factor n changed", edited(text, lambda obj: obj["factors"][0]["graph"].update(n=n)), g
+    pair = re.compile(r"\[\d+, \d+\](, )?").search(text, text.index('"edges": '))
+    if pair:
+        yield "pair dropped", text[:pair.start()] + text[pair.end():], g
+
+
+@pytest.mark.parametrize("g, cover", list(decomposition_cases()))
+def test_matched_lists_give_the_reference_outcome(monkeypatch, g, cover):
+    d = decompose(g, cover)
+    labels = []
+    for label, text, h in variants(g, cover, decomposition_to_json(d)):
+        assert outcome_of(decomposition_from_json, text, h) == outcome_of(ref_decomposition_from_json, text), label
+        labels.append(label)
+    assert {"valid", "other valid cover", "invalid cover", "other vertex count", "factor n changed",
+            "pair dropped"} | ({"list replaced", "factors reordered"} if len(d.factors) > 1 else set()) <= set(labels)
+    # the written file is long enough for its cover, and no list of it is read
+    read = []
+    real = kernel._read_rows
+    monkeypatch.setattr(kernel, "_read_rows", lambda *args: read.append(1) or real(*args))
+    assert decomposition_from_json(decomposition_to_json(d), g) == d
+    assert read == []
+
+
+def test_a_file_too_short_for_its_cover_builds_no_factor(monkeypatch):
+    # one empty factor list under a valid cover of width 6 or more: a file
+    # written through that cover holds every pair of g five times or more
+    g, o = random_poset_graph(60, 0.1, 2)
+    cover = greedy_layered_cover(o).cover
+    assert cover_width(g, cover) > 5
+    factor = {"bipartition": None, "blocks": None, "graph": {"edges": [], "n": 60}, "kind": "terminal",
+              "orientation": None}
+    text = json.dumps({"cover": cover.parts, "factors": [factor]}, sort_keys=True)
+    module = importlib.import_module("ccwidth.decompose")
+    built = []
+    monkeypatch.setattr(module, "decompose", lambda *args: built.append(1) or decompose(*args))
+    assert outcome_of(decomposition_from_json, text, g) == outcome_of(ref_decomposition_from_json, text)
+    assert built == []
+    assert decomposition_from_json(decomposition_to_json(decompose(g, cover)), g).source_cover == cover
+    assert built == [1]
+
+
+def test_verify_reads_no_list_of_a_written_file_and_one_tampered_list(monkeypatch, tmp_path, capsys):
+    from ccwidth.cli import main
+
+    g, o = random_poset_graph(60, 0.1, 2)
+    d = decompose(g, greedy_layered_cover(o).cover)
+    text = decomposition_to_json(d)
+    assert len(d.factors) > 2
+    # drop a pair of g from the first factor's list: it is read, the rest matched
+    u, v = g.edges()[0]
+    first = text.index('"edges": [') + len('"edges": [')
+    tampered = text[:first] + text[first:].replace(f"[{u}, {v}], ", "", 1)
+    assert len(tampered) < len(text)
+    graph, stored = tmp_path / "g.graph", tmp_path / "decomposition.json"
+    graph.write_text(serialize_graph(g))
+    forms = []  # the form of each list read: the graph file's, then the decomposition's
+    real = kernel._read_rows
+    monkeypatch.setattr(kernel, "_read_rows", lambda *args: forms.append(args[5]) or real(*args))
+    for doc, calls in ((text, 0), (tampered, 1)):
+        stored.write_text(doc)
+        forms.clear()
+        code = main(["verify", str(graph), "--decomposition", str(stored)])
+        report = json.loads(capsys.readouterr().out)
+        expected = verify_decomposition(g, ref_decomposition_from_json(doc))
+        assert forms == [kernel.EDGE_FORM] + [kernel.JSON_FORM] * calls
+        assert code == (0 if expected.all_passed else 4) and code == 4 * calls
+        assert report["results"]["checks"] == [
+            {"check": c.name, "passed": c.passed, "detail": c.detail} for c in expected.checks
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +1072,7 @@ def test_row_text_writes_the_reference_text(g, h, fmt):
     for rows in (g.upper(), complement(g).upper(), g.upper()):
         assert table.text(rows) == ref_pairs_text(rows, *template)
     assert serialize_graph(h, fmt) == ref_serialize_graph(h, fmt)
-    assert kernel.pair_lists([g.upper(), h.upper(), g.upper()]) == [
+    assert list(kernel.pair_lists([g.upper(), h.upper(), g.upper()])) == [
         "[" + ref_pairs_text(rows, *kernel.JSON_PAIR) + "]" for rows in (g.upper(), h.upper(), g.upper())
     ]
 
@@ -1084,14 +1213,14 @@ def test_arc_lists_stay_off_the_kernel(monkeypatch):
     seen = []
     real = kernel._read_rows
     monkeypatch.setattr(kernel, "_read_rows", lambda text, *args: seen.append(text) or real(text, *args))
-    assert decomposition_from_json(decomposition_to_json(d)) == d
+    assert decomposition_from_json(decomposition_to_json(d), UNMATCHED) == d
     assert seen == [json.dumps(f.graph.edges()) for f in d.factors]
 
 
 @pytest.mark.parametrize("fmt", sorted(TEMPLATES))
 def test_pair_lists_and_a_shared_table_write_the_reference_text(fmt):
     g, h = without(9, [(0, 1)]), without(12, [(3, 4)])
-    assert kernel.pair_lists([g.upper(), h.upper(), g.upper()]) == [json.dumps(ref_edges(x)) for x in (g, h, g)]
+    assert list(kernel.pair_lists([g.upper(), h.upper(), g.upper()])) == [json.dumps(ref_edges(x)) for x in (g, h, g)]
     table = kernel.RowText(9, *TEMPLATES[fmt])
     for x in (g, complement(g), g):
         assert serialize_graph(x, fmt, table=table) == ref_serialize_graph(x, fmt)
@@ -1119,7 +1248,7 @@ def test_decompose_cli_writes_the_reference_bytes_at_n_200(tmp_path, capsys):
         assert (out / "decomposition.json").read_text() == ref_decomposition_to_json(d)
         for i, f in enumerate(d.factors):
             assert (out / f"factor_{i}.dot").read_text() == ref_serialize_graph(f.graph, "dot")
-        assert decomposition_from_json((out / "decomposition.json").read_text()) == d
+        assert decomposition_from_json((out / "decomposition.json").read_text(), g) == d
     assert factor_counts[0] > 10 and factor_counts[1:] == [1, 2]
 
 
