@@ -8,6 +8,7 @@ vertex.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InvalidCoverError, NotAPermutationError
@@ -64,12 +65,13 @@ def part_masks(g: Graph, parts) -> tuple[list[int], list[int], bool, int]:
     the width, the largest j - i with part j holding a neighbour of part i.
 
     A part is a clique iff its mask lies inside every member's closed
-    neighbourhood; a member >= n has none, so its part is not a clique.
+    neighbourhood; a member >= n is compared with n before any shift, so it
+    enters no mask, and its part is not a clique.
     The width only grows, in O(k + width) mask operations: part j raises it
     while its neighbours meet before[j - w], the union of the parts more
     than w before it.  Adjacency is symmetric, so this is also the largest
     gap from a part i to a later part holding a neighbour of it."""
-    adj, full = g.adj, g.full_mask()
+    adj, n, full = g.adj, g.n, g.full_mask()
     pms, nbrs, before = [], [], []  # before[j] = union of the parts before j
     seen = listed = w = 0
     clique = True
@@ -77,12 +79,14 @@ def part_masks(g: Graph, parts) -> tuple[list[int], list[int], bool, int]:
         pm = nb = 0
         closed = -1  # AND of the members' closed neighbourhoods
         for v in part:
+            if v >= n:
+                clique = False
+                continue
             b = 1 << v
             pm |= b
-            if b <= full:
-                a = adj[v]
-                nb |= a
-                closed &= a | b
+            a = adj[v]
+            nb |= a
+            closed &= a | b
         if pm & ~closed:
             clique = False
         before.append(seen)
@@ -101,12 +105,13 @@ def _report(g: Graph, parts, pms: list[int]) -> CoverReport:
     for pm in pms:
         doubly |= seen & pm
         seen |= pm
+    far = Counter(v for part in parts for v in set(part) if v >= g.n)  # the parts listing each vertex >= n
     non_clique = ((i, _non_adjacent_pair(g, part)) for i, part in enumerate(parts))
     return CoverReport(
         tuple(bits(g.full_mask() & ~seen)),
-        tuple(bits(doubly)),
+        (*bits(doubly), *sorted(v for v, k in far.items() if k > 1)),
         tuple((i, pair) for i, pair in non_clique if pair is not None),
-        tuple(bits(seen >> g.n << g.n)),
+        tuple(sorted(far)),
     )
 
 

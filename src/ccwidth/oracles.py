@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress
+from itertools import chain, compress, count
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -503,42 +503,25 @@ def unit_intersection_dimension(g: Graph, limits: SearchLimits = UDIM_LIMITS) ->
                 break
             s = (s - 1) & free
 
-    masks = _maximal_masks(coverage, budget)
-    if full in masks:
-        return 1
-    return _min_set_cover(masks, full, budget)
+    return _min_set_cover(coverage, full, budget)
 
 
-def _maximal_masks(masks: set[int], budget: Budget) -> list[int]:
-    # quadratic, with no node to tick: the clock is polled once per mask
+def _min_set_cover(masks: set[int], full: int, budget: Budget) -> int:
+    """Exact minimum set cover by iterative deepening (Korf 1985): for
+    d = 1, 2, ... a depth-first search for a cover by d sets, each node
+    branching on the least-covered element, larger masks first.  The first
+    d that covers is the minimum.  Every element is covered by some mask
+    (the BFS layering from u splits u from each non-neighbour), so some d
+    succeeds.  The budget is ticked once per node popped."""
     ordered = sorted(masks, key=lambda m: (-m.bit_count(), m))
-    keep: list[int] = []
-    for m in ordered:
-        budget.poll()
-        if not any(m | k == k for k in keep):
-            keep.append(m)
-    return keep
-
-
-def _min_set_cover(masks: list[int], full: int, budget: Budget) -> int:
-    """Exact minimum set cover by branch and bound on the least-covered
-    element, ticking the budget once per node expanded."""
-    by_element: dict[int, list[int]] = {}
-    for k in bits(full):
-        covering = [m for m in masks if m >> k & 1]
-        if not covering:
-            raise InvalidArgumentError("uncoverable element in set cover")
-        by_element[k] = covering
-    best = len(masks) + 1
-    stack = [(full, 0)]
-    while stack:
-        uncovered, used = stack.pop()
-        if used >= best:
-            continue
-        if uncovered == 0:
-            best = used
-            continue
-        budget.tick()
-        pick = min(bits(uncovered), key=lambda k: len(by_element[k]))
-        stack.extend((uncovered & ~m, used + 1) for m in reversed(by_element[pick]))
-    return best
+    by_element = {k: [m for m in ordered if m >> k & 1] for k in bits(full)}
+    for d in count(1):
+        stack = [(full, 0)]
+        while stack:
+            uncovered, used = stack.pop()
+            budget.tick()
+            if uncovered == 0:
+                return d
+            if used < d:
+                pick = min(bits(uncovered), key=lambda k: len(by_element[k]))
+                stack.extend((uncovered & ~m, used + 1) for m in reversed(by_element[pick]))

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -499,6 +500,26 @@ def test_decompose_cover_with_a_vertex_outside_the_graph_exits_2(capsys, tmp_pat
     assert "Traceback" not in out + err
     assert "7" in json.loads(out)["error"]
     assert not (tmp_path / "decomposition.json").exists()
+
+
+def test_decompose_cover_with_huge_vertex_ids_exits_2_in_bounded_memory(capsys, tmp_path):
+    # every part lists the largest id a cover may hold: a mask 1 << id per
+    # part would take 2 MB each, about 80 MB for these 40 parts
+    graph = tmp_path / "p3.graph"
+    graph.write_text("p 3 0\n")
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"parts": [[0], [1], [2]] + [[MAX_VERTICES - 1]] * 40}))
+    argv = ["--out", str(tmp_path), "decompose", str(graph), "--cover", str(cover)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["error"] == f"cover lists vertices outside 0..2: [{MAX_VERTICES - 1}]"
+    assert peak < 10_000_000, peak
 
 
 def test_main_reuses_one_parser_and_keeps_no_state_between_calls(capsys, tmp_path, monkeypatch):

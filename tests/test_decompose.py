@@ -197,7 +197,7 @@ def test_random_suite_small():
 
 
 def test_optimal_cover_realizes_udim_bound():
-    from ccwidth import unit_intersection_dimension
+    from ccwidth import largest_induced_star, unit_intersection_dimension
 
     for seed in range(10):
         g = random_connected_graph(6, 0.4, seed)
@@ -207,7 +207,9 @@ def test_optimal_cover_realizes_udim_bound():
         d = decompose(g, cover)
         assert len(d.factors) == width
         assert all(is_unit_incomparability(f.graph) for f in d.factors)
-        assert unit_intersection_dimension(g) <= len(d.factors)
+        dim = unit_intersection_dimension(g)
+        assert dim <= len(d.factors)
+        assert largest_induced_star(g)[0] <= 3**dim
 
 
 def test_empty_graph_decomposition_survives_a_json_round_trip():

@@ -1,3 +1,5 @@
+import random
+import time
 from itertools import combinations, permutations
 from unittest import mock
 
@@ -37,11 +39,11 @@ from ccwidth.generators import (
     remark_three_cliques_graph,
     star_graph,
 )
-from ccwidth import limits, oracles
+from ccwidth import oracles
 from ccwidth.graphs import bits, is_connected, mask_of
 from ccwidth.incomparability import random_poset_graph
 from ccwidth.limits import BANDWIDTH_LIMITS, CCW_LIMITS, Budget, SearchLimits
-from ccwidth.oracles import _cliques_containing, _maximal_masks, _min_set_cover
+from ccwidth.oracles import _cliques_containing
 
 from conftest import graphs
 
@@ -588,16 +590,33 @@ def test_orientation_matches_backtracking_reference_on_posets(n, density, seed, 
 # ---------------------------------------------------------------------------
 # unit intersection dimension
 
+def udim(g):
+    """unit_intersection_dimension(g), checked against the star bound
+    s(g) <= 3^Udim(g): in each of d width-1 factors every leaf of an
+    induced star lies in the centre's part or next to it, and two leaves
+    at the same place in every factor are adjacent in g."""
+    d = unit_intersection_dimension(g)
+    assert largest_induced_star(g)[0] <= 3**d
+    return d
+
+
 def test_udim_clique():
-    assert unit_intersection_dimension(complete_graph(4)) == 1
+    assert udim(complete_graph(4)) == 1
 
 
 def test_udim_cobipartite():
-    assert unit_intersection_dimension(two_triangles_cross()) == 1
+    assert udim(two_triangles_cross()) == 1
 
 
 def test_udim_star():
-    assert unit_intersection_dimension(star_graph(5)) == 2
+    assert udim(star_graph(5)) == 2
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_udim_of_a_star_is_its_ternary_leaf_code_length(k):
+    # the star bound is tight on stars: a ternary code of the leaves gives
+    # ceil(log3 k) factors
+    assert udim(star_graph(k)) == min(d for d in range(k) if 3**d >= k)
 
 
 def test_udim_requires_connected():
@@ -611,34 +630,45 @@ def test_udim_below_ccw():
         if g.edge_count() == g.n * (g.n - 1) // 2:
             continue
         assert is_connected(g)
-        assert unit_intersection_dimension(g) <= clique_cover_width_exact(g)[0]
-    # 36 graphs at n = 8-10: each has Udim = CCW (1 for (8, 0.2, 0), else 2)
+        assert udim(g) <= clique_cover_width_exact(g)[0]
+    # 36 graphs at n = 8-10, each with CCW <= 2, where Udim = CCW is forced
+    # (Udim = 1 iff CCW <= 1); the slack cases are below
     for n in (8, 9, 10):
         for density in (0.2, 0.35, 0.5):
             for seed in range(4):
                 g = random_connected_graph(n, density, seed)
-                assert unit_intersection_dimension(g) <= clique_cover_width_exact(g)[0]
+                assert udim(g) <= clique_cover_width_exact(g)[0]
+
+
+def random_tree(n, seed):
+    """Each vertex v > 0 joined to a uniformly drawn earlier vertex."""
+    rnd = random.Random(seed)
+    return build_graph(n, [(rnd.randrange(v), v) for v in range(1, n)])
+
+
+@pytest.mark.parametrize(
+    "g, ccw",
+    [(star_graph(6), 3), (star_graph(9), 4), (random_tree(10, 7), 3), (random_tree(10, 8), 3), (random_tree(10, 11), 3)],
+)
+def test_udim_is_two_where_ccw_is_higher(g, ccw):
+    # star_graph(6) is the first star with slack: Udim 2 against CCW 3
+    assert udim(g) == 2 < ccw == clique_cover_width_exact(g)[0]
 
 
 def test_udim_obeys_the_time_budget():
-    # about 42,000 ticks, most of them in the set cover; the clock is polled every 4,096
+    # 41,698 ticks: 39,365 blocks in the walk and 2,333 nodes the set cover
+    # pops; the clock is polled every 4,096
     with pytest.raises(LimitExceededError, match="time budget"):
         unit_intersection_dimension(star_graph(9), SearchLimits(max_n=10, time_budget_ms=1))
 
 
-def test_udim_polls_the_clock_inside_the_maximal_masks_pass(monkeypatch):
-    # the clock reads past the deadline from the start of the quadratic
-    # pass on: the pass itself raises, before the set cover ticks
-    real = oracles._maximal_masks
-
-    def late(masks, budget):
-        monkeypatch.setattr(limits.time, "monotonic_ns", lambda: budget.deadline + 1)
-        return real(masks, budget)
-
-    monkeypatch.setattr(oracles, "_maximal_masks", late)
-    with pytest.raises(LimitExceededError, match="time budget") as exc:
-        unit_intersection_dimension(star_graph(7))
-    assert exc.traceback[-2].name == "_maximal_masks"
+def test_udim_stops_within_the_time_budget_at_the_first_dimension_three():
+    # star_graph(10) has Udim 3 and takes seconds: the search must stop near
+    # its 500 ms budget, with the clock polled through every node it pops
+    start = time.monotonic()
+    with pytest.raises(LimitExceededError, match="time budget"):
+        unit_intersection_dimension(star_graph(10), SearchLimits(max_n=11, time_budget_ms=500))
+    assert time.monotonic() - start < 1.5
 
 
 def _set_partitions(n: int):
@@ -662,6 +692,48 @@ def _set_partitions(n: int):
     yield from rec(0, [])
 
 
+def ref_maximal_masks(masks: set[int], budget: Budget) -> list[int]:
+    # quadratic, with no node to tick: the clock is polled once per mask
+    ordered = sorted(masks, key=lambda m: (-m.bit_count(), m))
+    keep: list[int] = []
+    for m in ordered:
+        budget.poll()
+        if not any(m | k == k for k in keep):
+            keep.append(m)
+    return keep
+
+
+def ref_min_set_cover(masks: list[int], full: int, budget: Budget) -> int:
+    """Exact minimum set cover by branch and bound on the least-covered
+    element, ticking the budget once per node expanded."""
+    by_element: dict[int, list[int]] = {}
+    for k in bits(full):
+        covering = [m for m in masks if m >> k & 1]
+        if not covering:
+            raise InvalidArgumentError("uncoverable element in set cover")
+        by_element[k] = covering
+    best = len(masks) + 1
+    stack = [(full, 0)]
+    while stack:
+        uncovered, used = stack.pop()
+        if used >= best:
+            continue
+        if uncovered == 0:
+            best = used
+            continue
+        budget.tick()
+        pick = min(bits(uncovered), key=lambda k: len(by_element[k]))
+        stack.extend((uncovered & ~m, used + 1) for m in reversed(by_element[pick]))
+    return best
+
+
+def ref_set_cover(coverage: set[int], full: int) -> int:
+    """The set cover the iterative deepening replaced: keep the masks that
+    lie in no other, then branch and bound from len(masks) + 1 down."""
+    masks = ref_maximal_masks(coverage, Budget(SearchLimits()))
+    return 1 if full in masks else ref_min_set_cover(masks, full, Budget(SearchLimits()))
+
+
 def ref_unit_intersection_dimension(g):
     """The admissibility loop the quotient-path test replaced: every order
     of every set partition, kept when no edge spans a gap >= 2."""
@@ -679,9 +751,7 @@ def ref_unit_intersection_dimension(g):
             if any(abs(part_of[u] - part_of[v]) > 1 for u, v in edges):
                 continue
             coverage.add(sum(1 << k for k, (u, v) in enumerate(nonedges) if part_of[u] != part_of[v]))
-    masks = _maximal_masks(coverage, Budget(SearchLimits()))
-    full = (1 << len(nonedges)) - 1
-    return 1 if full in masks else _min_set_cover(masks, full, Budget(SearchLimits()))
+    return ref_set_cover(coverage, (1 << len(nonedges)) - 1)
 
 
 def connected_labelled_graphs(n):
@@ -692,7 +762,7 @@ def test_udim_matches_permutation_reference_up_to_five_vertices():
     count = 0
     for n in range(1, 6):
         for g in connected_labelled_graphs(n):
-            assert unit_intersection_dimension(g) == ref_unit_intersection_dimension(g)
+            assert udim(g) == ref_unit_intersection_dimension(g)
             count += 1
     assert count == 1 + 1 + 4 + 38 + 728
 
@@ -701,7 +771,7 @@ def test_udim_matches_permutation_reference_up_to_five_vertices():
 @settings(max_examples=60, deadline=None)
 def test_udim_matches_permutation_reference_at_six_and_seven(g):
     if is_connected(g):
-        assert unit_intersection_dimension(g) == ref_unit_intersection_dimension(g)
+        assert udim(g) == ref_unit_intersection_dimension(g)
 
 
 def ref_quotient_path_udim(g):
@@ -738,8 +808,7 @@ def ref_quotient_path_udim(g):
             for pm in blocks:
                 split &= ~inside[pm]
             coverage.add(split)
-    masks = _maximal_masks(coverage, Budget(SearchLimits()))
-    return 1 if full in masks else _min_set_cover(masks, full, Budget(SearchLimits()))
+    return ref_set_cover(coverage, full)
 
 
 @pytest.mark.parametrize(
@@ -755,7 +824,11 @@ def ref_quotient_path_udim(g):
         random_connected_graph(10, 0.2, 1),
         random_connected_graph(10, 0.2, 2),
         random_connected_graph(10, 0.5, 0),
+        star_graph(8),
+        star_graph(9),
+        random_tree(10, 7),
+        random_tree(10, 8),
     ],
 )
 def test_udim_matches_quotient_path_reference_at_eight_to_ten(g):
-    assert unit_intersection_dimension(g) == ref_quotient_path_udim(g)
+    assert udim(g) == ref_quotient_path_udim(g)
