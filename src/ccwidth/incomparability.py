@@ -6,8 +6,8 @@ satisfies s(g) - 1 >= W >= ceil(s(g)/2) - 1, where s(g) is the largest
 induced-star leaf count.  Walking an arc chain back from a width-realizing
 edge extracts a star certificate with exactly W + 1 leaves, which is what
 makes the greedy cover a two-sided estimate of the clique cover width.
-A passed-in orientation is checked against g with O(n) mask operations
-besides the transitivity test; the complement is built only on a failure.
+Every answer is checked against g; a passed-in orientation gets O(n) arc
+checks, and its transitivity is tested only when its cover or star fails.
 """
 
 from __future__ import annotations
@@ -130,8 +130,9 @@ def approximate_ccw(g: Graph, orientation: Orientation | None = None) -> ApproxR
 
     upper is the greedy cover width W, read off the extracted star, which
     has W + 1 leaves; lower is ceil((W+1)/2) - 1.  Guarantees
-    lower <= CCW(g) <= upper and upper <= 2 * CCW(g) + 1.  A passed-in
-    orientation is always checked; one found here needs no check.
+    lower <= CCW(g) <= upper and upper <= 2 * CCW(g) + 1.  Every answer is
+    checked (cover_width proves upper, validate_star the star), so a
+    passed-in orientation is tested for transitivity only on a failure.
     """
     if orientation is None:
         # transitive, and exactly the complement's edges, by construction
@@ -142,24 +143,32 @@ def approximate_ccw(g: Graph, orientation: Orientation | None = None) -> ApproxR
         raise CertificateExtractionError(
             f"orientation has {orientation.n} vertices, the graph has {g.n}"
         )
-    # the arcs are the complement's edges, once each, and transitive iff
-    # none is an edge of g, there are |E(complement)| of them, and they are
-    # transitive: that rules out loops, and so antiparallel pairs.  Only on
-    # a failure is the complement built, so that wrong arcs are reported
-    # before intransitive ones
+    # no arc is an edge of g and there are |E(complement)| of them; then a
+    # layering that succeeds proves each non-edge is oriented exactly once,
+    # as a loop or an antiparallel pair leaves a cycle.  Equal arc sets with
+    # a wrong count hold an antiparallel pair, so _refuse always raises here
     elif (
         any(map(and_, orientation.succ, g.adj))
         or sum(map(int.bit_count, orientation.succ)) != g.n * (g.n - 1) // 2 - g.edge_count()
-        or not verify_transitive(orientation)
     ):
-        if orientation.underlying() != complement(g):
-            raise CertificateExtractionError("orientation arcs are not exactly the complement's edges")
-        raise NotTransitiveError("orientation is not transitive")
-    lc = greedy_layered_cover(orientation, check=False)
-    cert = extract_star_certificate(g, orientation, lc)
+        _refuse(g, orientation)
+    try:
+        lc = greedy_layered_cover(orientation, check=False)
+        cert = extract_star_certificate(g, orientation, lc)
+    except (CyclicOrientationError, CertificateExtractionError):
+        _refuse(g, orientation)
+        raise
     leaves = cert.leaf_count
     lower = max(0, -(-leaves // 2) - 1)
     return ApproxResult(lower, leaves - 1, lc.cover, cert)
+
+
+def _refuse(g: Graph, orientation: Orientation) -> None:
+    """Raise if the arcs are not exactly the complement's edges, or not transitive."""
+    if orientation.underlying() != complement(g):
+        raise CertificateExtractionError("orientation arcs are not exactly the complement's edges")
+    if not verify_transitive(orientation):
+        raise NotTransitiveError("orientation is not transitive")
 
 
 # ---------------------------------------------------------------------------

@@ -510,9 +510,11 @@ def _min_set_cover(masks: set[int], full: int, budget: Budget) -> int:
     """Exact minimum set cover by iterative deepening (Korf 1985): for
     d = 1, 2, ... a depth-first search for a cover by d sets, each node
     branching on the least-covered element, larger masks first.  The first
-    d that covers is the minimum.  Every element is covered by some mask
-    (the BFS layering from u splits u from each non-neighbour), so some d
-    succeeds.  The budget is ticked once per node popped."""
+    d that covers is the minimum.  Every element of the nonempty full is
+    covered by some mask (the BFS layering from u splits u from each
+    non-neighbour), so some d succeeds; a smaller cover would have ended an
+    earlier round, so only the last level, which tests each mask instead of
+    pushing it, can finish one.  One tick per node popped or mask tested."""
     ordered = sorted(masks, key=lambda m: (-m.bit_count(), m))
     by_element = {k: [m for m in ordered if m >> k & 1] for k in bits(full)}
     for d in count(1):
@@ -520,8 +522,12 @@ def _min_set_cover(masks: set[int], full: int, budget: Budget) -> int:
         while stack:
             uncovered, used = stack.pop()
             budget.tick()
-            if uncovered == 0:
-                return d
-            if used < d:
-                pick = min(bits(uncovered), key=lambda k: len(by_element[k]))
+            pick = min(bits(uncovered), key=lambda k: len(by_element[k]))
+            if used < d - 1:
                 stack.extend((uncovered & ~m, used + 1) for m in reversed(by_element[pick]))
+                continue
+            tested = next((t for t, m in enumerate(by_element[pick], 1) if not uncovered & ~m), 0)
+            budget.tick(tested or len(by_element[pick]))
+            budget.poll()  # a bulk tick can step over tick's own poll
+            if tested:
+                return d

@@ -134,7 +134,12 @@ def test_recognized_orientation_is_not_rechecked(monkeypatch):
     recognized = approximate_ccw(g)
     assert calls == []  # the recognizer's orientation is transitive by construction
     assert approximate_ccw(g, find_transitive_orientation(complement(g))) == recognized
-    assert len(calls) == 1  # a passed-in orientation is still checked
+    assert calls == []  # a passed-in orientation is not tested while its cover and star hold
+    # the umbrella 0 < 1 < 2 over the edge 0-2: its star fails, so it is tested once
+    p3 = build_graph(3, [(0, 2)])
+    with pytest.raises(NotTransitiveError):
+        approximate_ccw(p3, orientation_from_json('{"n": 3, "order": [0, 1, 2]}', p3))
+    assert len(calls) == 1
 
 
 def test_one_part_masks_pass_per_greedy_run(monkeypatch):
@@ -272,16 +277,29 @@ def edited_orientations(draw):
 @given(edited_orientations())
 def test_passed_in_orientation_check_matches_the_underlying_graph_check(case):
     g, o = case
-    assert check_outcome(approximate_ccw, g, o) == check_outcome(ref_check, g, o)
+    refused = check_outcome(ref_check, g, o)
+    try:
+        res = approximate_ccw(g, o)
+    except (CertificateExtractionError, NotTransitiveError) as exc:
+        assert (type(exc), str(exc)) == refused
+        return
+    if refused is None:  # the result of checking the orientation first
+        lc = greedy_layered_cover(o)
+        cert = extract_star_certificate(g, o, lc)
+        assert (res.upper, res.witness_cover, res.witness_star) == (cert.leaf_count - 1, lc.cover, cert)
+    else:  # an intransitive orientation is answered only with a checked cover and star
+        assert refused[0] is NotTransitiveError
+        assert cover_width(g, res.witness_cover) == res.upper
+        assert validate_star(g, res.witness_star) and res.witness_star.leaf_count == res.upper + 1
 
 
 @st.composite
-def greedy_inputs(draw):
+def greedy_inputs(draw, kinds=("poset", "order", "arcs"), max_n=9):
     """A poset graph with its orientation, or a random graph with the
     orientation of its complement by a random vertex order, or with a random
     arc set."""
-    n = draw(st.integers(0, 9))
-    kind = draw(st.sampled_from(["poset", "order", "arcs"]))
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(kinds))
     if kind == "poset":
         return random_poset_graph(n, draw(st.sampled_from((0.0, 0.2, 0.5, 1.0))), draw(st.integers(0, 2**16)))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -307,3 +325,27 @@ def test_greedy_bounds_are_certified_for_any_passed_in_orientation(case):
     assert validate_star(g, cert) if g.n else cert.degenerate
     assert cert.leaf_count == res.upper + 1
     assert res.lower == max(0, -(-(res.upper + 1) // 2) - 1)
+
+
+# an intransitive order answered: 2 -> 4 -> 3 over the edge 2-3, and the
+# bracket [1, 2] holds the exact width 1
+UMBRELLA5 = build_graph(5, [(0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3)])
+UMBRELLA5_ORDER = orientation_from_json('{"n": 5, "order": [2, 4, 3, 1, 0]}', UMBRELLA5)
+
+
+@example((UMBRELLA5, UMBRELLA5_ORDER))
+@settings(max_examples=300, deadline=None)
+@given(greedy_inputs(kinds=("order",), max_n=8))
+def test_an_answered_order_brackets_the_exact_width(case):
+    g, o = case
+    try:
+        res = approximate_ccw(g, o)
+    except CCWidthError:
+        return
+    assert res.lower <= clique_cover_width_exact(g)[0] <= res.upper
+
+
+def test_an_intransitive_order_whose_cover_and_star_hold_is_answered():
+    assert not verify_transitive(UMBRELLA5_ORDER)
+    res = approximate_ccw(UMBRELLA5, UMBRELLA5_ORDER)
+    assert (res.lower, res.upper) == (1, 2) and validate_star(UMBRELLA5, res.witness_star)

@@ -656,8 +656,9 @@ def test_udim_is_two_where_ccw_is_higher(g, ccw):
 
 
 def test_udim_obeys_the_time_budget():
-    # 41,698 ticks: 39,365 blocks in the walk and 2,333 nodes the set cover
-    # pops; the clock is polled every 4,096
+    # 41,698 ticks: 39,365 blocks in the walk and 2,333 for the nodes the
+    # set cover pops and the last-level masks it tests; the clock is polled
+    # every 4,096 ticks and after each last-level test
     with pytest.raises(LimitExceededError, match="time budget"):
         unit_intersection_dimension(star_graph(9), SearchLimits(max_n=10, time_budget_ms=1))
 
@@ -732,6 +733,34 @@ def ref_set_cover(coverage: set[int], full: int) -> int:
     lie in no other, then branch and bound from len(masks) + 1 down."""
     masks = ref_maximal_masks(coverage, Budget(SearchLimits()))
     return 1 if full in masks else ref_min_set_cover(masks, full, Budget(SearchLimits()))
+
+
+@composite
+def mask_families(draw):
+    """Masks over up to 12 elements, each element in some mask: random
+    masks, the leftover elements as singletons, and sometimes a planted
+    cover by up to four disjoint blocks, so that minima of 2-4 are common."""
+    k = draw(st.integers(1, 12))
+    full = (1 << k) - 1
+    masks = set(draw(st.lists(st.integers(1, full), max_size=10)))
+    if draw(st.booleans()):
+        owner = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+        masks |= {sum(1 << e for e in range(k) if owner[e] == b) for b in set(owner)}
+    covered = 0
+    for m in masks:
+        covered |= m
+    masks |= {1 << e for e in bits(full & ~covered)}
+    return masks, full
+
+
+@given(mask_families())
+@settings(max_examples=300, deadline=None)
+def test_set_cover_matches_branch_and_bound_reference(family):
+    # the minimum d is found at the last level of round d, where masks are
+    # tested instead of pushed
+    masks, full = family
+    found = oracles._min_set_cover(masks, full, Budget(SearchLimits()))
+    assert found == ref_min_set_cover(sorted(masks), full, Budget(SearchLimits()))
 
 
 def ref_unit_intersection_dimension(g):
